@@ -2,7 +2,7 @@
 // realtime-speed queries against one shared QueryEngine and report QPS and
 // tail latency per thread count. The replay walks the day in slot waves —
 // within a wave every client fires its queries concurrently (atomic query
-// ids, reservation ledger, leased propagators); between waves the worker
+// ids, reservation ledger, one shared propagator); between waves the worker
 // population advances one slot, exactly the quiescence contract the engine
 // documents for WorkerRegistry::AdvanceSlot.
 //
@@ -101,10 +101,7 @@ LoadResult ReplayDay(core::CrowdRtse& system, const SemiSyntheticWorld& world,
   const int64_t campaign_budget = 1'000'000;
   server::BudgetLedger ledger(campaign_budget, /*per_query_cap=*/30);
   crowd::CrowdSimulator crowd_sim({}, util::Rng(9));
-  server::QueryEngine::Options engine_options;
-  engine_options.propagator_pool_size = num_clients;
-  server::QueryEngine engine(system, registry, ledger, costs, crowd_sim,
-                             engine_options);
+  server::QueryEngine engine(system, registry, ledger, costs, crowd_sim);
 
   // Each client monitors its own district all day (distinct query sets).
   std::vector<std::vector<graph::RoadId>> districts;
@@ -192,7 +189,6 @@ FaultedResult ReplayFaultedDay(core::CrowdRtse& system,
   crowd::CrowdSimulator crowd_sim({}, util::Rng(9));
   util::SimClock clock;
   server::QueryEngine::Options engine_options;
-  engine_options.propagator_pool_size = num_clients;
   engine_options.fault_tolerant_dispatch = true;
   engine_options.clock = &clock;
   crowd::FaultSpec storm;
@@ -276,8 +272,7 @@ struct NoiselessStack {
 };
 
 NoiselessStack MakeNoiselessStack(core::CrowdRtse& system,
-                                  const SemiSyntheticWorld& world,
-                                  int pool_size) {
+                                  const SemiSyntheticWorld& world) {
   NoiselessStack stack;
   server::WorkerRegistryOptions registry_options;
   registry_options.num_workers = world.network.num_roads() * 3;
@@ -297,11 +292,8 @@ NoiselessStack MakeNoiselessStack(core::CrowdRtse& system,
   crowd_options.max_noise_kmh = 0.0;
   stack.crowd_sim =
       std::make_unique<crowd::CrowdSimulator>(crowd_options, util::Rng(9));
-  server::QueryEngine::Options engine_options;
-  engine_options.propagator_pool_size = pool_size;
   stack.engine = std::make_unique<server::QueryEngine>(
-      system, *stack.registry, *stack.ledger, stack.costs, *stack.crowd_sim,
-      engine_options);
+      system, *stack.registry, *stack.ledger, stack.costs, *stack.crowd_sim);
   return stack;
 }
 
@@ -536,7 +528,7 @@ void RunSocketServing() {
   // --- Coalescing bit-identity: concurrent identical queries through the
   // coalescing front-end, then an uncoalesced single-client replay.
   {
-    NoiselessStack stack = MakeNoiselessStack(*system, world, 4);
+    NoiselessStack stack = MakeNoiselessStack(*system, world);
     server::FrontendOptions frontend_options;
     frontend_options.num_workers = 4;
     server::Frontend frontend(*stack.engine, world.truth, frontend_options);
@@ -570,7 +562,7 @@ void RunSocketServing() {
   // serving sustains, admission sized so the ladder's every rung is in
   // play. hard_capacity = 2 * capacity (the default derivation), so this
   // drives the queue to twice its capacity by construction.
-  NoiselessStack stack = MakeNoiselessStack(*system, world, 4);
+  NoiselessStack stack = MakeNoiselessStack(*system, world);
   server::FrontendOptions frontend_options;
   frontend_options.num_workers = 4;
   frontend_options.admission.capacity = 32;
@@ -624,10 +616,8 @@ void Run() {
   options.num_roads = 300;
   options.num_days = 10;
   const SemiSyntheticWorld world = BuildWorld(options);
-  core::CrowdRtseConfig config;
-  config.gsp.num_threads = 2;  // parallel GSP: the non-reentrant config
-  auto system =
-      core::CrowdRtse::BuildOffline(world.network, world.history, config);
+  auto system = core::CrowdRtse::BuildOffline(world.network, world.history,
+                                              core::CrowdRtseConfig{});
   CROWDRTSE_CHECK(system.ok());
   // Warm the per-slot correlation cache once, as a deployed service would
   // during rollout, so every thread count measures serving rather than the

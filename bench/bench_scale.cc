@@ -210,7 +210,6 @@ void Run(const Flags& flags) {
 
     server::BudgetLedger ledger(/*campaign_budget=*/-1, kPerQueryCap);
     server::ShardedEngineOptions engine_options;
-    engine_options.engine.propagator_pool_size = flags.clients;
     engine_options.crowd = crowd_options;
     util::Timer build_timer;
     auto engine = server::ShardedEngine::Create(

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "crowd/worker.h"
+#include "graph/dijkstra.h"
 #include "graph/graph.h"
 #include "graph/road_geometry.h"
 #include "traffic/history_store.h"
@@ -83,6 +84,10 @@ class TrajectorySimulator {
   const traffic::DayMatrix& truth_;
   TrajectorySimOptions options_;
   util::Rng rng_;
+  /// Routing weight of every edge (see the constructor) and the Dijkstra
+  /// buffers SimulateTrip reuses across trips.
+  std::vector<double> edge_length_km_;
+  graph::DijkstraWorkspace dijkstra_;
 };
 
 }  // namespace crowdrtse::crowd

@@ -7,28 +7,12 @@
 
 namespace crowdrtse::graph {
 
-/// Result of a (multi-source) breadth-first traversal: per-road hop count
-/// and the roads grouped by hop level. GSP (paper Alg. 5) schedules its
-/// iterative updates by ascending hop distance from the crowdsourced roads.
-struct HopLevels {
-  /// hops[r] = minimum hop count from any source; -1 if unreachable.
-  std::vector<int> hops;
-  /// levels[l] = roads exactly l hops away; levels[0] are the sources.
-  std::vector<std::vector<RoadId>> levels;
-
-  int MaxHop() const { return static_cast<int>(levels.size()) - 1; }
-};
-
-/// Multi-source BFS from `sources`. Duplicate sources are tolerated.
-HopLevels MultiSourceBfs(const Graph& graph,
-                         const std::vector<RoadId>& sources);
-
-/// Flat (allocation-reusing) form of HopLevels: one contiguous visit
-/// sequence plus level offsets, instead of one vector per level. The GSP
-/// arena keeps an instance alive per thread so a query's BFS levelling
-/// costs zero mallocs after warm-up. Road order within each level is
-/// identical to HopLevels::levels — GSP's sequential sweep order (and so
-/// its bit-exact result) does not depend on which form schedules it.
+/// Result of a multi-source breadth-first traversal: per-road hop count and
+/// the roads grouped by hop level, as one contiguous visit sequence plus
+/// level offsets. GSP (paper Alg. 5) schedules its iterative updates by
+/// ascending hop distance from the crowdsourced roads; its arena keeps an
+/// instance alive per thread so a query's BFS levelling costs zero mallocs
+/// after warm-up.
 struct FlatHopLevels {
   /// hops[r] = minimum hop count from any source; -1 if unreachable.
   std::vector<int> hops;

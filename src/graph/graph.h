@@ -55,19 +55,9 @@ class Graph {
   std::span<const Adjacency> Adjacencies() const { return adjacency_; }
 
   /// Neighbour ids alone, parallel to Adjacencies(): a contiguous int32
-  /// stream the vectorised GSP kernel gathers speeds through (half the
-  /// stride of scanning Adjacency structs when only the neighbour is
-  /// needed).
+  /// stream the GSP kernels gather speeds through (half the stride of
+  /// scanning Adjacency structs when only the neighbour is needed).
   std::span<const RoadId> NeighborIds() const { return neighbor_ids_; }
-
-  /// Position of road `r` in the reverse Cuthill-McKee visit order
-  /// (computed once at Build). Adjacent roads have nearby ranks, so the
-  /// hot loops sort work units by this rank to keep consecutive updates
-  /// inside overlapping cache lines. Empty graphs have no ranks.
-  int32_t RcmRank(RoadId r) const {
-    return rcm_rank_[static_cast<size_t>(r)];
-  }
-  std::span<const int32_t> RcmRanks() const { return rcm_rank_; }
 
   int Degree(RoadId r) const {
     return static_cast<int>(offsets_[static_cast<size_t>(r) + 1] -
@@ -96,7 +86,6 @@ class Graph {
   std::vector<size_t> offsets_;       // num_roads_ + 1
   std::vector<Adjacency> adjacency_;  // 2 * num_edges
   std::vector<RoadId> neighbor_ids_;  // adjacency_[k].neighbor, flat
-  std::vector<int32_t> rcm_rank_;     // num_roads_ (RCM position of each)
   std::vector<std::pair<RoadId, RoadId>> edge_endpoints_;
 };
 

@@ -1,15 +1,9 @@
 #include "gsp/propagation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <string>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define CROWDRTSE_GSP_X86 1
-#endif
 
 #include "graph/bfs.h"
 #include "obs/flight_recorder.h"
@@ -36,9 +30,10 @@ struct SweepContext {
   const double* num_base = nullptr;     // speed-independent numerator part
   const size_t* row_offsets = nullptr;
   const graph::RoadId* neighbor_ids = nullptr;
-  // Packed relax-order views (valid for positions [0, order_size]).
-  const graph::RoadId* order_base = nullptr;  // == workspace order.data()
+  // Relax order: the roads one sweep updates, level-contiguous.
+  const graph::RoadId* order = nullptr;
   size_t order_size = 0;
+  // Packed relax-order views (valid for positions [0, order_size]).
   const size_t* packed_offsets = nullptr;  // position -> packed row start
   const graph::RoadId* packed_ids = nullptr;
   const double* packed_w = nullptr;     // pair_inv_var in relax order
@@ -51,12 +46,9 @@ struct SweepContext {
   int slot = 0;
 };
 
-/// Relaxes roads[0..count) sequentially in place; returns max |delta|.
-/// `roads` always points into the workspace order the packed arrays were
-/// built from, so kernels recover their packed position as
-/// roads - order_base.
-using SweepSpanFn = double (*)(const SweepContext&, const graph::RoadId*,
-                               size_t);
+/// One sweep: relaxes order[0..order_size) sequentially in place and
+/// returns the largest |delta|.
+using SweepFn = double (*)(const SweepContext&);
 
 /// Original Eq. (18) formulation through the accessor API, with the
 /// inverse-variance clamp (the unguarded 1/sigma^2 was the NaN-poisoning
@@ -82,12 +74,11 @@ inline double UpdateRoadReference(const rtf::RtfModel& model, int slot,
   return numerator / denominator;
 }
 
-double SweepSpanReference(const SweepContext& c, const graph::RoadId* roads,
-                          size_t count) {
+double SweepReference(const SweepContext& c) {
   double local = 0.0;
   uint64_t clamps = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const graph::RoadId road = roads[i];
+  for (size_t i = 0; i < c.order_size; ++i) {
+    const graph::RoadId road = c.order[i];
     const size_t ri = static_cast<size_t>(road);
     const double updated =
         UpdateRoadReference(*c.model, c.slot, road, c.speeds, &clamps);
@@ -122,12 +113,9 @@ inline void PrefetchSpeeds(const SweepContext& c, size_t pos) {
 /// accumulation produces (same fold order over the same operands), so the
 /// final divide — and the kernel — stays bit-identical to
 /// UpdateRoadReference.
-double SweepSpanScalar(const SweepContext& c, const graph::RoadId* roads,
-                       size_t count) {
-  const size_t pos0 = static_cast<size_t>(roads - c.order_base);
+double SweepScalar(const SweepContext& c) {
   double local = 0.0;
-  for (size_t i = 0; i < count; ++i) {
-    const size_t pos = pos0 + i;
+  for (size_t pos = 0; pos < c.order_size; ++pos) {
     PrefetchSpeeds(c, pos);
     const size_t begin = c.packed_offsets[pos];
     const size_t end = c.packed_offsets[pos + 1];
@@ -138,7 +126,7 @@ double SweepSpanScalar(const SweepContext& c, const graph::RoadId* roads,
              c.packed_w[k];
     }
     const double updated = num / c.packed_den[pos];
-    const size_t ri = static_cast<size_t>(roads[i]);
+    const size_t ri = static_cast<size_t>(c.order[pos]);
     local = std::max(local, std::fabs(updated - c.speeds[ri]));
     c.speeds[ri] = updated;
   }
@@ -148,23 +136,19 @@ double SweepSpanScalar(const SweepContext& c, const graph::RoadId* roads,
 /// Vectorisable sweep: the speed-independent part of the numerator
 /// (mu_i/sigma_i^2 + sum_j mu_ij/sigma_ij^2) is read pre-folded from
 /// packed_base, and only sum_j v_j/sigma_ij^2 accumulates per sweep — in
-/// four independent lanes combined pairwise ((l0+l1)+(l2+l3)), the
-/// association the AVX2 kernel's horizontal sum shares. Relative to the
-/// scalar kernel this reassociates the numerator by <= ~1e-12 (documented
-/// tolerance); rows of degree < 4 take the scalar path unchanged and stay
-/// bit-identical.
-double SweepSpanUnrolled(const SweepContext& c, const graph::RoadId* roads,
-                         size_t count) {
-  const size_t pos0 = static_cast<size_t>(roads - c.order_base);
+/// four independent lanes combined pairwise ((l0+l1)+(l2+l3)). Relative
+/// to the scalar kernel this reassociates the numerator by <= ~1e-12
+/// (documented tolerance); rows of degree < 4 take the scalar path
+/// unchanged and stay bit-identical.
+double SweepUnrolled(const SweepContext& c) {
   double local = 0.0;
-  for (size_t i = 0; i < count; ++i) {
-    const size_t pos = pos0 + i;
+  for (size_t pos = 0; pos < c.order_size; ++pos) {
     PrefetchSpeeds(c, pos);
     const size_t begin = c.packed_offsets[pos];
     const size_t end = c.packed_offsets[pos + 1];
     double num;
     if (end - begin < 4) {
-      // Scalar path, bit-identical to SweepSpanScalar.
+      // Scalar path, bit-identical to SweepScalar.
       num = c.packed_mu[pos];
       for (size_t k = begin; k < end; ++k) {
         num += (c.speeds[static_cast<size_t>(c.packed_ids[k])] +
@@ -191,104 +175,31 @@ double SweepSpanUnrolled(const SweepContext& c, const graph::RoadId* roads,
       }
     }
     const double updated = num / c.packed_den[pos];
-    const size_t ri = static_cast<size_t>(roads[i]);
+    const size_t ri = static_cast<size_t>(c.order[pos]);
     local = std::max(local, std::fabs(updated - c.speeds[ri]));
     c.speeds[ri] = updated;
   }
   return local;
 }
 
-#ifdef CROWDRTSE_GSP_X86
-
-__attribute__((target("avx2"))) inline double HorizontalSumPairwise(
-    __m256d v) {
-  // (lane0 + lane1) + (lane2 + lane3): matches the unrolled kernel's lane
-  // combination, so the two vector kernels share one association.
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d lo_sum = _mm_add_sd(lo, _mm_unpackhi_pd(lo, lo));
-  const __m128d hi_sum = _mm_add_sd(hi, _mm_unpackhi_pd(hi, hi));
-  return _mm_cvtsd_f64(_mm_add_sd(lo_sum, hi_sum));
-}
-
-__attribute__((target("avx2"))) double SweepSpanAvx2(
-    const SweepContext& c, const graph::RoadId* roads, size_t count) {
-  const size_t pos0 = static_cast<size_t>(roads - c.order_base);
-  double local = 0.0;
-  for (size_t i = 0; i < count; ++i) {
-    const size_t pos = pos0 + i;
-    PrefetchSpeeds(c, pos);
-    const size_t begin = c.packed_offsets[pos];
-    const size_t end = c.packed_offsets[pos + 1];
-    double num;
-    if (end - begin < 4) {
-      // Scalar path, bit-identical to SweepSpanScalar.
-      num = c.packed_mu[pos];
-      for (size_t k = begin; k < end; ++k) {
-        num += (c.speeds[static_cast<size_t>(c.packed_ids[k])] +
-                c.packed_m[k]) *
-               c.packed_w[k];
-      }
-    } else {
-      __m256d vnum = _mm256_setzero_pd();
-      size_t k = begin;
-      for (; k + 4 <= end; k += 4) {
-        // Four scalar loads assembled into one vector: faster than the
-        // microcoded _mm256_i32gather_pd on the common cores, and the
-        // lane values are identical either way.
-        const __m256d vj = _mm256_set_pd(
-            c.speeds[static_cast<size_t>(c.packed_ids[k + 3])],
-            c.speeds[static_cast<size_t>(c.packed_ids[k + 2])],
-            c.speeds[static_cast<size_t>(c.packed_ids[k + 1])],
-            c.speeds[static_cast<size_t>(c.packed_ids[k])]);
-        const __m256d w = _mm256_loadu_pd(c.packed_w + k);
-        // Explicit mul + add (no FMA contraction): keeps each lane's
-        // arithmetic identical to the unrolled scalar lanes.
-        vnum = _mm256_add_pd(vnum, _mm256_mul_pd(vj, w));
-      }
-      num = c.packed_base[pos] + HorizontalSumPairwise(vnum);
-      for (; k < end; ++k) {
-        num += c.speeds[static_cast<size_t>(c.packed_ids[k])] *
-               c.packed_w[k];
-      }
-    }
-    const double updated = num / c.packed_den[pos];
-    const size_t ri = static_cast<size_t>(roads[i]);
-    local = std::max(local, std::fabs(updated - c.speeds[ri]));
-    c.speeds[ri] = updated;
-  }
-  return local;
-}
-
-#endif  // CROWDRTSE_GSP_X86
-
-SweepSpanFn SelectSweepFn(GspKernel kernel) {
+SweepFn SelectSweepFn(GspKernel kernel) {
   switch (kernel) {
     case GspKernel::kReference:
-      return &SweepSpanReference;
+      return &SweepReference;
     case GspKernel::kScalar:
-      return &SweepSpanScalar;
+      return &SweepScalar;
     case GspKernel::kUnrolled:
-      return &SweepSpanUnrolled;
-#ifdef CROWDRTSE_GSP_X86
-    case GspKernel::kAvx2:
-      return &SweepSpanAvx2;
-#endif
-    default:
-      return &SweepSpanScalar;
+      break;
   }
+  return &SweepUnrolled;
 }
 
-/// Per-thread arena for the per-query scratch: BFS levelling, the sampled
-/// mask, the relax order, the parallel group boundaries and the packed
-/// relax-order parameter copies. Reused across queries, so steady-state
-/// propagation allocates nothing but the result.
+/// Per-thread arena for the per-query scratch: BFS levelling (whose visit
+/// sequence doubles as the relax order) and the packed relax-order
+/// parameter copies. Reused across queries, so steady-state propagation
+/// allocates nothing but the result.
 struct Workspace {
   graph::FlatHopLevels bfs;
-  std::vector<char> is_sampled;
-  std::vector<graph::RoadId> order;    // relax order, level-contiguous
-  std::vector<int32_t> level_offsets;  // segments of `order` per BFS level
-  std::vector<int32_t> group_offsets;  // segments per (level, colour) group
   // Packed relax-order copies of the slot parameters (see PackRows).
   std::vector<size_t> packed_offsets;
   std::vector<graph::RoadId> packed_ids;
@@ -311,14 +222,14 @@ Workspace& ThreadWorkspace() {
 /// stream — only the speeds gather stays irregular. Values are copied
 /// bit-for-bit; the kernels' arithmetic is unchanged.
 void PackRows(SweepContext& c, Workspace& ws) {
-  const size_t m = ws.order.size();
+  const size_t m = c.order_size;
   ws.packed_offsets.resize(m + 1);
   ws.packed_mu.resize(m);
   ws.packed_base.resize(m);
   ws.packed_den.resize(m);
   size_t total = 0;
   for (size_t i = 0; i < m; ++i) {
-    const size_t r = static_cast<size_t>(ws.order[i]);
+    const size_t r = static_cast<size_t>(c.order[i]);
     total += c.row_offsets[r + 1] - c.row_offsets[r];
   }
   ws.packed_ids.resize(total);
@@ -326,7 +237,7 @@ void PackRows(SweepContext& c, Workspace& ws) {
   ws.packed_m.resize(total);
   size_t cursor = 0;
   for (size_t i = 0; i < m; ++i) {
-    const size_t r = static_cast<size_t>(ws.order[i]);
+    const size_t r = static_cast<size_t>(c.order[i]);
     ws.packed_offsets[i] = cursor;
     ws.packed_mu[i] = c.mu_inv_var[r];
     ws.packed_base[i] = c.num_base[r];
@@ -339,8 +250,6 @@ void PackRows(SweepContext& c, Workspace& ws) {
     cursor += row;
   }
   ws.packed_offsets[m] = cursor;
-  c.order_base = ws.order.data();
-  c.order_size = m;
   c.packed_offsets = ws.packed_offsets.data();
   c.packed_ids = ws.packed_ids.data();
   c.packed_w = ws.packed_w.data();
@@ -350,97 +259,14 @@ void PackRows(SweepContext& c, Workspace& ws) {
   c.packed_den = ws.packed_den.data();
 }
 
-int RunSweepsSequential(const SweepContext& ctx, SweepSpanFn fn,
-                        const std::vector<graph::RoadId>& order,
-                        double epsilon, int max_sweeps, bool& converged) {
-  // Sequentially the level structure only fixes the visit order, and
-  // `order` is already level-contiguous: one span call per sweep.
+int RunSweeps(const SweepContext& ctx, SweepFn fn, double epsilon,
+              int max_sweeps, bool& converged) {
   converged = false;
   int sweeps = 0;
   while (sweeps < max_sweeps) {
     ++sweeps;
-    const double max_delta = fn(ctx, order.data(), order.size());
+    const double max_delta = fn(ctx);
     if (max_delta < epsilon) {
-      converged = true;
-      break;
-    }
-  }
-  return sweeps;
-}
-
-int RunSweepsParallel(SweepContext& ctx, SweepSpanFn fn, Workspace& ws,
-                      const std::vector<int64_t>& group_key, int64_t n,
-                      util::ThreadPool& pool, double epsilon, int max_sweeps,
-                      bool& converged) {
-  // Split every level segment into colour groups by sorting on
-  // (colour, RCM rank). Roads inside a group are mutually non-adjacent, so
-  // their update order is free — RCM rank order keeps concurrent updates
-  // inside overlapping cache lines.
-  ws.group_offsets.clear();
-  ws.group_offsets.push_back(0);
-  for (size_t l = 0; l + 1 < ws.level_offsets.size(); ++l) {
-    const int32_t begin = ws.level_offsets[l];
-    const int32_t end = ws.level_offsets[l + 1];
-    std::sort(ws.order.begin() + begin, ws.order.begin() + end,
-              [&](graph::RoadId a, graph::RoadId b) {
-                return group_key[static_cast<size_t>(a)] <
-                       group_key[static_cast<size_t>(b)];
-              });
-    for (int32_t k = begin + 1; k < end; ++k) {
-      const int64_t prev_color =
-          group_key[static_cast<size_t>(
-              ws.order[static_cast<size_t>(k - 1)])] /
-          n;
-      const int64_t color =
-          group_key[static_cast<size_t>(ws.order[static_cast<size_t>(k)])] /
-          n;
-      if (color != prev_color) ws.group_offsets.push_back(k);
-    }
-    ws.group_offsets.push_back(end);
-  }
-  // Pack only after the group sort above: it permutes ws.order, and the
-  // packed arrays must mirror the final relax order. The reference kernel
-  // (no SoA sources) reads roads through the accessors and needs no pack.
-  if (ctx.row_offsets != nullptr) PackRows(ctx, ws);
-
-  const auto merge_max = [](std::atomic<double>& target, double value) {
-    // Fully relaxed monotone-max join. Workers only publish candidates
-    // here; nobody reads max_delta until after the ParallelFor join, whose
-    // release/acquire pair on the pool's completion counter orders every
-    // relaxed store before the main thread's load. The CAS failure path
-    // reloads `current`, so the loop ends with target >= value; seq_cst
-    // would add fences without changing any permitted outcome.
-    double current = target.load(std::memory_order_relaxed);
-    while (value > current &&
-           !target.compare_exchange_weak(current, value,
-                                         std::memory_order_relaxed,
-                                         std::memory_order_relaxed)) {
-    }
-  };
-
-  converged = false;
-  int sweeps = 0;
-  while (sweeps < max_sweeps) {
-    ++sweeps;
-    std::atomic<double> max_delta{0.0};
-    for (size_t g = 0; g + 1 < ws.group_offsets.size(); ++g) {
-      const int32_t begin = ws.group_offsets[g];
-      const int32_t end = ws.group_offsets[g + 1];
-      const size_t len = static_cast<size_t>(end - begin);
-      if (len == 0) continue;
-      const graph::RoadId* roads =
-          ws.order.data() + static_cast<size_t>(begin);
-      // Tiny groups are cheaper inline than dispatched.
-      if (len < 32) {
-        merge_max(max_delta, fn(ctx, roads, len));
-        continue;
-      }
-      pool.ParallelFor(len, [&](size_t chunk_begin, size_t chunk_end) {
-        merge_max(max_delta,
-                  fn(ctx, roads + chunk_begin, chunk_end - chunk_begin));
-      });
-    }
-    if (max_delta.load(std::memory_order_relaxed) < epsilon) {
       converged = true;
       break;
     }
@@ -453,41 +279,6 @@ int RunSweepsParallel(SweepContext& ctx, SweepSpanFn fn, Workspace& ws,
 SpeedPropagator::SpeedPropagator(const rtf::RtfModel& model,
                                  GspOptions options)
     : model_(model), options_(options) {}
-
-SpeedPropagator::~SpeedPropagator() = default;
-
-bool SpeedPropagator::Avx2Supported() {
-#ifdef CROWDRTSE_GSP_X86
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-GspKernel SpeedPropagator::ResolveKernel(GspKernel requested) {
-  switch (requested) {
-    case GspKernel::kAuto:
-    case GspKernel::kAvx2:
-      return Avx2Supported() ? GspKernel::kAvx2 : GspKernel::kUnrolled;
-    default:
-      return requested;
-  }
-}
-
-void SpeedPropagator::EnsureColoring() const {
-  if (coloring_ != nullptr) return;
-  coloring_ = std::make_unique<graph::Coloring>(
-      graph::GreedyColoring(model_.graph()));
-  coloring_builds_.fetch_add(1, std::memory_order_relaxed);
-  const int n = model_.num_roads();
-  group_key_.resize(static_cast<size_t>(n));
-  for (graph::RoadId r = 0; r < n; ++r) {
-    group_key_[static_cast<size_t>(r)] =
-        static_cast<int64_t>(coloring_->color[static_cast<size_t>(r)]) *
-            static_cast<int64_t>(n) +
-        static_cast<int64_t>(model_.graph().RcmRank(r));
-  }
-}
 
 double SpeedPropagator::UpdateValue(int slot, graph::RoadId road,
                                     const std::vector<double>& speeds) const {
@@ -547,40 +338,32 @@ util::Result<GspResult> SpeedPropagator::PropagateFrom(
   } else {
     result.speeds = initial_speeds;
   }
-  Workspace& ws = ThreadWorkspace();
-  ws.is_sampled.assign(static_cast<size_t>(n), 0);
   for (size_t i = 0; i < sampled_roads.size(); ++i) {
     result.speeds[static_cast<size_t>(sampled_roads[i])] =
         sampled_speeds[i];
-    ws.is_sampled[static_cast<size_t>(sampled_roads[i])] = 1;
   }
 
   // Schedule: BFS hop levels from the sampled roads; level 0 (the samples
   // themselves) stays fixed, deeper levels update in ascending hop order.
+  // Every sample is a BFS source, so the levels from 1 to the hop limit
+  // are one contiguous run of the visit sequence holding no sampled road.
+  Workspace& ws = ThreadWorkspace();
   graph::MultiSourceBfsInto(model_.graph(), sampled_roads, ws.bfs);
   result.hops = ws.bfs.hops;
   const int max_level =
       options_.hop_limit > 0
           ? std::min(ws.bfs.num_levels(), options_.hop_limit + 1)
           : ws.bfs.num_levels();
-  ws.order.clear();
-  ws.level_offsets.clear();
-  ws.level_offsets.push_back(0);
-  for (int l = 1; l < max_level; ++l) {
-    const int32_t level_begin =
-        ws.bfs.level_offsets[static_cast<size_t>(l)];
-    const int32_t level_end =
-        ws.bfs.level_offsets[static_cast<size_t>(l) + 1];
-    for (int32_t k = level_begin; k < level_end; ++k) {
-      const graph::RoadId r = ws.bfs.order[static_cast<size_t>(k)];
-      if (!ws.is_sampled[static_cast<size_t>(r)]) ws.order.push_back(r);
-    }
-    if (static_cast<int32_t>(ws.order.size()) != ws.level_offsets.back()) {
-      ws.level_offsets.push_back(static_cast<int32_t>(ws.order.size()));
-    }
+  SweepContext ctx;
+  ctx.speeds = result.speeds.data();
+  if (max_level > 1) {
+    const int32_t begin = ws.bfs.level_offsets[1];
+    const int32_t end = ws.bfs.level_offsets[static_cast<size_t>(max_level)];
+    ctx.order = ws.bfs.order.data() + begin;
+    ctx.order_size = static_cast<size_t>(end - begin);
   }
 
-  if (ws.order.empty()) {
+  if (ctx.order_size == 0) {
     // Nothing to relax: either no samples (pure periodic estimate) or the
     // samples cover everything.
     result.converged = true;
@@ -589,10 +372,7 @@ util::Result<GspResult> SpeedPropagator::PropagateFrom(
     return result;
   }
 
-  const GspKernel kernel = ResolveKernel(options_.kernel);
-  SweepContext ctx;
-  ctx.speeds = result.speeds.data();
-  if (kernel == GspKernel::kReference) {
+  if (options_.kernel == GspKernel::kReference) {
     ctx.model = &model_;
     ctx.slot = slot;
   } else {
@@ -605,27 +385,10 @@ util::Result<GspResult> SpeedPropagator::PropagateFrom(
     ctx.row_offsets = model_.graph().RowOffsets().data();
     ctx.neighbor_ids = model_.graph().NeighborIds().data();
   }
-  const SweepSpanFn fn = SelectSweepFn(kernel);
-
-  if (options_.num_threads > 1) {
-    // Colour once per propagator: within a level, same-colour roads are
-    // pairwise non-adjacent, so they may update concurrently without
-    // racing on a neighbour's value (the paper's parallelisation
-    // condition).
-    EnsureColoring();
-    const int num_threads = std::max(1, options_.num_threads);
-    if (!pool_ || pool_->num_threads() != num_threads) {
-      pool_ = std::make_unique<util::ThreadPool>(num_threads);
-    }
-    result.sweeps = RunSweepsParallel(
-        ctx, fn, ws, group_key_, static_cast<int64_t>(n), *pool_,
-        options_.epsilon, options_.max_sweeps, result.converged);
-  } else {
-    if (ctx.row_offsets != nullptr) PackRows(ctx, ws);
-    result.sweeps =
-        RunSweepsSequential(ctx, fn, ws.order, options_.epsilon,
-                            options_.max_sweeps, result.converged);
-  }
+  if (ctx.row_offsets != nullptr) PackRows(ctx, ws);
+  result.sweeps =
+      RunSweeps(ctx, SelectSweepFn(options_.kernel), options_.epsilon,
+                options_.max_sweeps, result.converged);
   // ONE flight record per propagation (sweep count in the payload), never
   // per sweep: Propagate runs per query per shard while a sweep runs tens
   // of times inside it — per-iteration records would monopolize the ring.

@@ -1,16 +1,11 @@
 #ifndef CROWDRTSE_GSP_PROPAGATION_H_
 #define CROWDRTSE_GSP_PROPAGATION_H_
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "graph/coloring.h"
 #include "graph/graph.h"
 #include "rtf/rtf_model.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace crowdrtse::gsp {
 
@@ -26,11 +21,9 @@ namespace crowdrtse::gsp {
 ///    (SlotSoa::num_base) and accumulates only sum_j v_j/sigma_ij^2, in
 ///    four independent lanes combined pairwise; the reassociation drifts
 ///    at most ~1e-12 relative from kScalar. Rows of degree < 4 take the
-///    scalar path unchanged and stay bit-identical.
-///  - kAvx2 is the same association with AVX2 gathers; requires AVX2 at
-///    runtime.
-///  - kAuto resolves to kAvx2 when the CPU supports it, else kUnrolled.
-enum class GspKernel { kAuto, kReference, kScalar, kUnrolled, kAvx2 };
+///    scalar path unchanged and stay bit-identical. This is the serving
+///    kernel; kReference and kScalar remain as its golden oracle.
+enum class GspKernel { kReference, kScalar, kUnrolled };
 
 /// Options for Graph-based Speed Propagation (paper Alg. 5).
 struct GspOptions {
@@ -39,10 +32,6 @@ struct GspOptions {
   double epsilon = 1e-4;
   /// Hard cap on sweeps (the paper argues a constant number suffices).
   int max_sweeps = 200;
-  /// 1 = the sequential Alg. 5. >1 = level-parallel execution: roads of the
-  /// same BFS level and colour class update concurrently (the paper's
-  /// parallelisation condition - same partition group, not adjacent).
-  int num_threads = 1;
   /// 0 = relax every reachable road (the paper's full Alg. 5). H > 0 keeps
   /// the relaxation local: only roads within H BFS hops of the sampled set
   /// update; everything deeper stays frozen at its initial value (mu or the
@@ -52,9 +41,8 @@ struct GspOptions {
   /// probe, so a partition halo that deep reproduces the unsharded fixpoint
   /// bit for bit.
   int hop_limit = 0;
-  /// Sweep kernel; see GspKernel. An explicitly requested kAvx2 on a host
-  /// without AVX2 degrades to kUnrolled (same association, same results).
-  GspKernel kernel = GspKernel::kAuto;
+  /// Sweep kernel; see GspKernel.
+  GspKernel kernel = GspKernel::kUnrolled;
 };
 
 /// Outcome of one propagation run.
@@ -73,32 +61,15 @@ struct GspResult {
 /// of a trained RTF, by iterating the closed-form conditional maximiser of
 /// paper Eq. (18) in BFS-hop order from the sampled roads.
 ///
-/// Thread-safety: with num_threads > 1 the propagator owns a worker pool
-/// and a lazily built colouring, so concurrent Propagate calls on the same
-/// instance are not allowed; the sequential configuration is freely
-/// shareable (its per-query scratch lives in thread-local arenas).
+/// Thread-safety: a propagator holds no mutable state (its per-query
+/// scratch lives in thread-local arenas), so one const instance may serve
+/// any number of concurrent Propagate calls.
 class SpeedPropagator {
  public:
   /// The model (and its graph) must outlive the propagator.
   SpeedPropagator(const rtf::RtfModel& model, GspOptions options);
-  ~SpeedPropagator();
 
   const GspOptions& options() const { return options_; }
-
-  /// True when the running CPU executes AVX2.
-  static bool Avx2Supported();
-
-  /// The kernel a request actually runs: kAuto picks the widest supported
-  /// path; kAvx2 without hardware support degrades to kUnrolled.
-  static GspKernel ResolveKernel(GspKernel requested);
-
-  /// How many times this propagator computed a graph colouring. The
-  /// colouring depends only on the graph, so it is built on the first
-  /// parallel Propagate and reused afterwards; this stays at 1 however
-  /// many queries run (regression hook for the per-query recolouring bug).
-  uint64_t coloring_builds() const {
-    return coloring_builds_.load(std::memory_order_relaxed);
-  }
 
   /// Runs GSP for `slot`. `sampled_roads[i]` is fixed to
   /// `sampled_speeds[i]`; everything else starts at mu and relaxes.
@@ -123,23 +94,8 @@ class SpeedPropagator {
                      const std::vector<double>& speeds) const;
 
  private:
-  /// Builds (once) the colouring and the per-road (colour, RCM rank) sort
-  /// key used to split levels into cache-friendly parallel groups.
-  void EnsureColoring() const;
-
   const rtf::RtfModel& model_;
   GspOptions options_;
-  // Lazily created on the first parallel propagation; reused across calls
-  // so per-sweep work dispatch is two condition-variable hops, not thread
-  // spawns.
-  mutable std::unique_ptr<util::ThreadPool> pool_;
-  // Colouring + group sort keys, built once per propagator (the graph is
-  // immutable). group_key_[r] = color[r] * num_roads + RcmRank(r): sorting
-  // a level by this key yields colour groups whose members sit in RCM
-  // order, i.e. near each other in memory.
-  mutable std::unique_ptr<graph::Coloring> coloring_;
-  mutable std::vector<int64_t> group_key_;
-  mutable std::atomic<uint64_t> coloring_builds_{0};
 };
 
 }  // namespace crowdrtse::gsp

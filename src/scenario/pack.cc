@@ -852,14 +852,7 @@ util::Result<std::vector<graph::RoadId>> ResolveRoads(
       if (center < 0) {
         return util::Status::NotFound("no road named '" + spec.center + "'");
       }
-      const graph::HopLevels levels =
-          graph::MultiSourceBfs(fixture.graph, {center});
-      const int max_hop = std::min(
-          spec.hops, static_cast<int>(levels.levels.size()) - 1);
-      for (int hop = 0; hop <= max_hop; ++hop) {
-        const auto& ring = levels.levels[static_cast<size_t>(hop)];
-        roads.insert(roads.end(), ring.begin(), ring.end());
-      }
+      roads = graph::RoadsWithinHops(fixture.graph, {center}, spec.hops);
       break;
     }
   }

@@ -549,7 +549,6 @@ util::Result<RunReport> RunScenario(const Pack& pack,
   config.prune_zero_gain_candidates = pack.prune_zero_gain;
   config.theta = pack.theta;
   config.gsp.hop_limit = pack.gsp_hop_limit;
-  config.gsp.num_threads = 1;  // replay determinism: sequential sweeps
 
   const crowd::CostModel costs =
       crowd::CostModel::Constant(fixture->graph.num_roads(),
@@ -559,7 +558,6 @@ util::Result<RunReport> RunScenario(const Pack& pack,
 
   util::SimClock clock;
   server::QueryEngine::Options engine_options;
-  engine_options.propagator_pool_size = 1;
   engine_options.fault_tolerant_dispatch = pack.fault_tolerant;
   engine_options.dispatch.deadline_ms = pack.deadline_ms;
   engine_options.dispatch.max_attempts = pack.max_attempts;

@@ -11,7 +11,7 @@
 #include "core/crowd_rtse.h"
 #include "crowd/dispatch_controller.h"
 #include "crowd/fault_plan.h"
-#include "gsp/propagator_pool.h"
+#include "gsp/propagation.h"
 #include "obs/stage_profiler.h"
 #include "server/budget_ledger.h"
 #include "server/engine.h"
@@ -36,9 +36,9 @@ namespace crowdrtse::server {
 ///
 /// Thread-safety: Serve may be called from any number of threads
 /// concurrently. Query ids are allocated atomically, the ledger reserves
-/// budget atomically, stats/metrics are internally synchronized, the GSP
-/// phase leases a propagator from a fixed pool (parallel-GSP propagators
-/// are non-reentrant, see gsp/propagation.h), and the crowd-simulation
+/// budget atomically, stats/metrics are internally synchronized, every
+/// query shares one const SpeedPropagator (its per-query scratch is
+/// thread-local, see gsp/propagation.h), and the crowd-simulation
 /// phase is serialized on an internal mutex (the simulator's RNG is
 /// stateful; a real crowd is asynchronous anyway). Lazy CCD refinement is
 /// safe under concurrent serving: CrowdRtse serializes it internally,
@@ -55,8 +55,9 @@ class QueryEngine : public Engine {
     /// false, any covered road is a candidate and shortfalls aggregate
     /// fewer answers.
     bool require_full_staffing = false;
-    /// Number of SpeedPropagator instances available to concurrent GSP
-    /// phases (also the GSP concurrency limit). <= 0 means 4.
+    /// Unused: the engine shares one propagator across all queries. Still
+    /// declared only because the perfbench sources set it; the next change
+    /// to the benchmark removes it.
     int propagator_pool_size = 0;
     /// Fault-tolerant crowd dispatch (deadline -> retry -> reassign ->
     /// degrade; DESIGN.md §5c). When false the legacy single-shot
@@ -123,7 +124,7 @@ class QueryEngine : public Engine {
   /// Stops admitting new queries (they reject with FailedPrecondition
   /// "draining") and blocks until every in-flight Serve has returned, so
   /// the engine — and everything it borrows: the Gamma_R cache's compute
-  /// threads, propagator leases, the crowd simulator — is quiescent.
+  /// threads, the crowd simulator — is quiescent.
   /// Idempotent; the destructor calls it, making teardown while serving
   /// threads wind down safe instead of a race against the thread pools.
   void Drain() override;
@@ -138,7 +139,7 @@ class QueryEngine : public Engine {
   EngineStats stats() const override;
 
   /// The engine's named instruments — counters, gauges (gamma-cache bytes,
-  /// outstanding reservations, GSP leases in flight), and the per-phase
+  /// outstanding reservations), and the per-phase
   /// latency histograms. Render with RenderPrometheus() / RenderJson().
   const util::metrics::MetricsRegistry& metrics() const override {
     return metrics_;
@@ -181,7 +182,7 @@ class QueryEngine : public Engine {
   const crowd::CostModel& costs_;
   crowd::CrowdSimulator& crowd_sim_;
   Options options_;
-  gsp::PropagatorPool propagators_;
+  const gsp::SpeedPropagator propagator_;
 
   std::atomic<int64_t> next_query_id_{1};
   /// Serializes the stateful crowd simulator (see class comment).

@@ -33,7 +33,7 @@ namespace crowdrtse::server {
 /// Knobs of the sharded engine.
 struct ShardedEngineOptions {
   /// Behaviour of every per-shard QueryEngine (fault-tolerant dispatch,
-  /// propagator pool size, ...). trace_sample_rate and profile_sample_rate
+  /// dispatch deadlines, ...). trace_sample_rate and profile_sample_rate
   /// govern the ROUTER's sampling: the router creates one trace/profile
   /// scope per sampled query and the sub-engines adopt it (their own
   /// samplers are zeroed at build), so a cross-shard query yields a single

@@ -33,8 +33,8 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-/// A value that can go up and down (pool leases in flight, resident cache
-/// bytes). Wait-free like Counter.
+/// A value that can go up and down (outstanding reservations, resident
+/// cache bytes). Wait-free like Counter.
 class Gauge {
  public:
   Gauge() = default;
@@ -153,7 +153,7 @@ class MetricsRegistry {
  public:
   /// A gauge whose value is read on demand at render time — how the
   /// registry surfaces state owned elsewhere (gamma-cache resident bytes,
-  /// ledger outstanding reservations, pool leases in flight).
+  /// ledger outstanding reservations, traces collected).
   using Callback = std::function<int64_t()>;
 
   MetricsRegistry() = default;

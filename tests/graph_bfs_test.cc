@@ -10,27 +10,40 @@
 namespace crowdrtse::graph {
 namespace {
 
+FlatHopLevels Bfs(const Graph& g, const std::vector<RoadId>& sources) {
+  FlatHopLevels levels;
+  MultiSourceBfsInto(g, sources, levels);
+  return levels;
+}
+
+/// The roads exactly `l` hops from the sources, in discovery order.
+std::vector<RoadId> Level(const FlatHopLevels& levels, int l) {
+  return {levels.order.begin() + levels.level_offsets[static_cast<size_t>(l)],
+          levels.order.begin() +
+              levels.level_offsets[static_cast<size_t>(l) + 1]};
+}
+
 TEST(BfsTest, SingleSourcePath) {
   const Graph g = *PathNetwork(5);
-  const HopLevels levels = MultiSourceBfs(g, {0});
+  const FlatHopLevels levels = Bfs(g, {0});
   EXPECT_EQ(levels.hops, (std::vector<int>{0, 1, 2, 3, 4}));
-  ASSERT_EQ(levels.levels.size(), 5u);
-  EXPECT_EQ(levels.levels[3], (std::vector<RoadId>{3}));
-  EXPECT_EQ(levels.MaxHop(), 4);
+  ASSERT_EQ(levels.num_levels(), 5);
+  EXPECT_EQ(Level(levels, 3), (std::vector<RoadId>{3}));
+  EXPECT_EQ(levels.order, (std::vector<RoadId>{0, 1, 2, 3, 4}));
 }
 
 TEST(BfsTest, MultiSourceTakesMinimum) {
   const Graph g = *PathNetwork(7);
-  const HopLevels levels = MultiSourceBfs(g, {0, 6});
+  const FlatHopLevels levels = Bfs(g, {0, 6});
   EXPECT_EQ(levels.hops[3], 3);
   EXPECT_EQ(levels.hops[5], 1);
-  EXPECT_EQ(levels.levels[0].size(), 2u);
+  EXPECT_EQ(Level(levels, 0).size(), 2u);
 }
 
 TEST(BfsTest, DuplicateSourcesTolerated) {
   const Graph g = *PathNetwork(3);
-  const HopLevels levels = MultiSourceBfs(g, {1, 1, 1});
-  EXPECT_EQ(levels.levels[0].size(), 1u);
+  const FlatHopLevels levels = Bfs(g, {1, 1, 1});
+  EXPECT_EQ(Level(levels, 0).size(), 1u);
   EXPECT_EQ(levels.hops[1], 0);
 }
 
@@ -38,29 +51,30 @@ TEST(BfsTest, UnreachableIsMinusOne) {
   GraphBuilder builder(4);
   builder.AddEdge(0, 1);
   const Graph g = *builder.Build();
-  const HopLevels levels = MultiSourceBfs(g, {0});
+  const FlatHopLevels levels = Bfs(g, {0});
   EXPECT_EQ(levels.hops[2], -1);
   EXPECT_EQ(levels.hops[3], -1);
 }
 
 TEST(BfsTest, NoSourcesGivesEmptyLevels) {
   const Graph g = *PathNetwork(3);
-  const HopLevels levels = MultiSourceBfs(g, {});
-  EXPECT_TRUE(levels.levels.empty());
+  const FlatHopLevels levels = Bfs(g, {});
+  EXPECT_EQ(levels.num_levels(), 0);
+  EXPECT_TRUE(levels.order.empty());
   EXPECT_TRUE(std::all_of(levels.hops.begin(), levels.hops.end(),
                           [](int h) { return h == -1; }));
 }
 
 TEST(BfsTest, InvalidSourcesSkipped) {
   const Graph g = *PathNetwork(3);
-  const HopLevels levels = MultiSourceBfs(g, {-1, 99, 1});
+  const FlatHopLevels levels = Bfs(g, {-1, 99, 1});
   EXPECT_EQ(levels.hops[1], 0);
-  EXPECT_EQ(levels.levels[0].size(), 1u);
+  EXPECT_EQ(Level(levels, 0).size(), 1u);
 }
 
 TEST(BfsTest, GridHopsMatchManhattanDistance) {
   const Graph g = *GridNetwork(4, 5);
-  const HopLevels levels = MultiSourceBfs(g, {0});
+  const FlatHopLevels levels = Bfs(g, {0});
   for (int r = 0; r < 4; ++r) {
     for (int c = 0; c < 5; ++c) {
       EXPECT_EQ(levels.hops[static_cast<size_t>(r * 5 + c)], r + c);
@@ -73,21 +87,33 @@ TEST(BfsTest, LevelsPartitionReachableRoads) {
   RoadNetworkOptions options;
   options.num_roads = 80;
   const Graph g = *RoadNetwork(options, rng);
-  const HopLevels levels = MultiSourceBfs(g, {0, 10, 20});
+  const FlatHopLevels levels = Bfs(g, {0, 10, 20});
   size_t total = 0;
   std::vector<bool> seen(static_cast<size_t>(g.num_roads()), false);
-  for (size_t l = 0; l < levels.levels.size(); ++l) {
-    for (RoadId r : levels.levels[l]) {
+  for (int l = 0; l < levels.num_levels(); ++l) {
+    for (RoadId r : Level(levels, l)) {
       EXPECT_FALSE(seen[static_cast<size_t>(r)]);
       seen[static_cast<size_t>(r)] = true;
-      EXPECT_EQ(levels.hops[static_cast<size_t>(r)],
-                static_cast<int>(l));
+      EXPECT_EQ(levels.hops[static_cast<size_t>(r)], l);
       ++total;
     }
   }
   size_t reachable = 0;
   for (int h : levels.hops) reachable += h >= 0 ? 1 : 0;
   EXPECT_EQ(total, reachable);
+  EXPECT_EQ(levels.order.size(), reachable);
+}
+
+TEST(BfsTest, ReusedBuffersGiveFreshResults) {
+  // The GSP arena reuses one instance across queries: a second traversal
+  // into the same buffers must not keep anything from the first.
+  const Graph g = *PathNetwork(6);
+  FlatHopLevels levels;
+  MultiSourceBfsInto(g, {0}, levels);
+  MultiSourceBfsInto(g, {5}, levels);
+  EXPECT_EQ(levels.hops, (std::vector<int>{5, 4, 3, 2, 1, 0}));
+  EXPECT_EQ(levels.order, (std::vector<RoadId>{5, 4, 3, 2, 1, 0}));
+  EXPECT_EQ(levels.num_levels(), 6);
 }
 
 TEST(RoadsWithinHopsTest, CoverageCounts) {
@@ -102,6 +128,12 @@ TEST(RoadsWithinHopsTest, MultiSourceUnion) {
   const Graph g = *PathNetwork(10);
   const auto covered = RoadsWithinHops(g, {0, 9}, 1);
   EXPECT_EQ(covered.size(), 4u);  // {0,1} and {8,9}
+}
+
+TEST(RoadsWithinHopsTest, NoSourcesOrNegativeRadiusIsEmpty) {
+  const Graph g = *PathNetwork(10);
+  EXPECT_TRUE(RoadsWithinHops(g, {}, 3).empty());
+  EXPECT_TRUE(RoadsWithinHops(g, {4}, -1).empty());
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.h"
@@ -16,9 +18,9 @@ namespace {
 /// Golden equivalence contract of the sweep kernels (see GspKernel):
 ///  - kScalar is bit-identical to kReference (same operations, same order,
 ///    inverses precomputed instead of re-derived);
-///  - kUnrolled / kAvx2 reassociate only the numerator's neighbour fold,
-///    within a documented 1e-12 relative tolerance, and degrade to the
-///    exact scalar arithmetic on rows of degree < 4.
+///  - kUnrolled (the default) reassociates only the numerator's neighbour
+///    fold, within a documented 1e-12 relative tolerance, and degrades to
+///    the exact scalar arithmetic on rows of degree < 4.
 
 /// Irregular planar-ish network with parameters varied per road/edge, so a
 /// kernel that misindexes the SoA or packed arrays cannot luck into the
@@ -42,26 +44,49 @@ graph::Graph TestNetwork(int num_roads) {
   return *graph::RoadNetwork(net, rng);
 }
 
+/// A sample set: probed roads and their probed speeds.
+struct Samples {
+  std::vector<graph::RoadId> roads;
+  std::vector<double> speeds;
+};
+
+/// Probes every `stride`-th road from `first`, each 7.5 km/h below its
+/// periodic mean.
+Samples EveryNth(const rtf::RtfModel& model, graph::RoadId first,
+                 int stride) {
+  Samples samples;
+  for (graph::RoadId r = first; r < model.num_roads(); r += stride) {
+    samples.roads.push_back(r);
+    samples.speeds.push_back(model.Mu(0, r) - 7.5);
+  }
+  return samples;
+}
+
+GspResult Solve(const SpeedPropagator& propagator,
+                const Samples& samples) {
+  const auto result =
+      propagator.Propagate(0, samples.roads, samples.speeds);
+  EXPECT_TRUE(result.ok()) << result.status().message();
+  return *result;
+}
+
 /// Runs a fixed number of sweeps (epsilon too small to ever converge), so
 /// every kernel performs exactly the same relaxations and the final fields
 /// are comparable sweep for sweep.
-GspResult RunKernel(const rtf::RtfModel& model, GspKernel kernel,
-              int num_threads = 1) {
+GspResult RunKernel(const rtf::RtfModel& model, GspKernel kernel) {
   GspOptions options;
   options.kernel = kernel;
   options.epsilon = 1e-300;
   options.max_sweeps = 12;
-  options.num_threads = num_threads;
-  const SpeedPropagator propagator(model, options);
-  std::vector<graph::RoadId> sampled;
-  std::vector<double> speeds;
-  for (graph::RoadId r = 0; r < model.num_roads(); r += 37) {
-    sampled.push_back(r);
-    speeds.push_back(model.Mu(0, r) - 7.5);
-  }
-  const auto result = propagator.Propagate(0, sampled, speeds);
-  EXPECT_TRUE(result.ok()) << result.status().message();
-  return *result;
+  return Solve(SpeedPropagator(model, options), EveryNth(model, 0, 37));
+}
+
+/// Same sweep count, convergence flag, hop levels and speed bits.
+bool SameBits(const GspResult& a, const GspResult& b) {
+  return a.sweeps == b.sweeps && a.converged == b.converged &&
+         a.hops == b.hops && a.speeds.size() == b.speeds.size() &&
+         std::memcmp(a.speeds.data(), b.speeds.data(),
+                     a.speeds.size() * sizeof(double)) == 0;
 }
 
 void ExpectBitIdentical(const GspResult& got, const GspResult& want) {
@@ -95,42 +120,31 @@ TEST(GspKernelGoldenTest, UnrolledWithinToleranceOfScalar) {
                        RunKernel(model, GspKernel::kScalar), 1e-12);
 }
 
-TEST(GspKernelGoldenTest, Avx2WithinToleranceOfScalar) {
-  if (!SpeedPropagator::Avx2Supported()) {
-    GTEST_SKIP() << "host has no AVX2";
-  }
+TEST(GspKernelGoldenTest, DefaultKernelIsUnrolled) {
+  EXPECT_EQ(GspOptions{}.kernel, GspKernel::kUnrolled);
   const graph::Graph g = TestNetwork(431);
   const rtf::RtfModel model = VariedModel(g);
-  ExpectWithinRelative(RunKernel(model, GspKernel::kAvx2),
-                       RunKernel(model, GspKernel::kScalar), 1e-12);
+  const Samples samples = EveryNth(model, 0, 37);
+  GspOptions unrolled;
+  unrolled.kernel = GspKernel::kUnrolled;
+  for (const int hop_limit : {0, 2}) {
+    GspOptions defaults;
+    defaults.hop_limit = hop_limit;
+    unrolled.hop_limit = hop_limit;
+    EXPECT_TRUE(SameBits(Solve(SpeedPropagator(model, defaults), samples),
+                         Solve(SpeedPropagator(model, unrolled), samples)))
+        << "hop_limit " << hop_limit;
+  }
 }
 
 TEST(GspKernelGoldenTest, LowDegreeRowsStayBitIdentical) {
-  // Path graph: every degree is <= 2 < 4, so the vector kernels must take
+  // Path graph: every degree is <= 2 < 4, so the unrolled kernel must take
   // the exact scalar path on every row and match bit for bit.
   const graph::Graph g = *graph::PathNetwork(64);
   const rtf::RtfModel model = VariedModel(g);
   const GspResult reference = RunKernel(model, GspKernel::kReference);
   ExpectBitIdentical(RunKernel(model, GspKernel::kScalar), reference);
   ExpectBitIdentical(RunKernel(model, GspKernel::kUnrolled), reference);
-  if (SpeedPropagator::Avx2Supported()) {
-    ExpectBitIdentical(RunKernel(model, GspKernel::kAvx2), reference);
-  }
-}
-
-TEST(GspKernelGoldenTest, AutoResolvesToAVectorKernel) {
-  const GspKernel resolved = SpeedPropagator::ResolveKernel(GspKernel::kAuto);
-  if (SpeedPropagator::Avx2Supported()) {
-    EXPECT_EQ(resolved, GspKernel::kAvx2);
-  } else {
-    EXPECT_EQ(resolved, GspKernel::kUnrolled);
-  }
-  // An explicit AVX2 request on a non-AVX2 host degrades to kUnrolled.
-  EXPECT_EQ(SpeedPropagator::ResolveKernel(GspKernel::kAvx2), resolved);
-  EXPECT_EQ(SpeedPropagator::ResolveKernel(GspKernel::kScalar),
-            GspKernel::kScalar);
-  EXPECT_EQ(SpeedPropagator::ResolveKernel(GspKernel::kReference),
-            GspKernel::kReference);
 }
 
 TEST(GspKernelGoldenTest, DegenerateSigmaIsClampedNotPropagated) {
@@ -154,54 +168,45 @@ TEST(GspKernelGoldenTest, DegenerateSigmaIsClampedNotPropagated) {
     for (const double speed : RunKernel(model, GspKernel::kUnrolled).speeds) {
       ASSERT_TRUE(std::isfinite(speed));
     }
-    if (SpeedPropagator::Avx2Supported()) {
-      for (const double speed : RunKernel(model, GspKernel::kAvx2).speeds) {
-        ASSERT_TRUE(std::isfinite(speed));
-      }
+  }
+}
+
+TEST(GspKernelGoldenTest, SharedPropagatorIsReentrant) {
+  // The serving engines share one const propagator across all in-flight
+  // queries; every per-query buffer lives in a thread-local arena. Eight
+  // threads hammering one instance with different sample sets must each
+  // reproduce, bit for bit, what a lone thread computes.
+  constexpr int kThreads = 8;
+  constexpr int kRepeats = 20;
+  const graph::Graph g = TestNetwork(431);
+  const rtf::RtfModel model = VariedModel(g);
+  for (const int hop_limit : {0, 2}) {
+    GspOptions options;
+    options.hop_limit = hop_limit;
+    const SpeedPropagator propagator(model, options);
+    std::vector<Samples> samples;
+    std::vector<GspResult> want;
+    for (int t = 0; t < kThreads; ++t) {
+      samples.push_back(EveryNth(model, t, 23 + 4 * t));
+      want.push_back(Solve(propagator, samples.back()));
     }
-  }
-}
-
-TEST(GspKernelGoldenTest, ColoringBuiltOncePerPropagator) {
-  // Regression for the per-query recolouring bug: the colouring depends
-  // only on the (immutable) graph, so however many parallel queries run,
-  // it is computed exactly once per propagator.
-  const graph::Graph g = TestNetwork(431);
-  const rtf::RtfModel model = VariedModel(g);
-  GspOptions options;
-  options.num_threads = 4;
-  options.epsilon = 1e-8;
-  const SpeedPropagator propagator(model, options);
-  EXPECT_EQ(propagator.coloring_builds(), 0u);
-  for (int q = 0; q < 3; ++q) {
-    const graph::RoadId probe = static_cast<graph::RoadId>(10 + 50 * q);
-    const auto result = propagator.Propagate(0, {probe}, {25.0});
-    ASSERT_TRUE(result.ok());
-    EXPECT_DOUBLE_EQ(result->speeds[static_cast<size_t>(probe)], 25.0);
-  }
-  EXPECT_EQ(propagator.coloring_builds(), 1u);
-}
-
-TEST(GspKernelGoldenTest, ParallelAgreesWithSequentialFixpoint) {
-  // Parallel sweeps relax the same levels in a different intra-level order,
-  // so intermediate fields differ; run to convergence and both must land on
-  // the (unique, strictly convex) fixpoint within the sweep tolerance.
-  const graph::Graph g = TestNetwork(431);
-  const rtf::RtfModel model = VariedModel(g);
-  GspOptions options;
-  options.epsilon = 1e-10;
-  options.max_sweeps = 2000;
-  const SpeedPropagator sequential(model, options);
-  options.num_threads = 4;
-  const SpeedPropagator parallel(model, options);
-  const auto want = sequential.Propagate(0, {3, 99, 217}, {20.0, 60.0, 40.0});
-  const auto got = parallel.Propagate(0, {3, 99, 217}, {20.0, 60.0, 40.0});
-  ASSERT_TRUE(want.ok());
-  ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(want->converged);
-  EXPECT_TRUE(got->converged);
-  for (size_t i = 0; i < want->speeds.size(); ++i) {
-    EXPECT_NEAR(got->speeds[i], want->speeds[i], 1e-8) << "road " << i;
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const size_t i = static_cast<size_t>(t);
+        for (int rep = 0; rep < kRepeats; ++rep) {
+          const auto got = propagator.Propagate(0, samples[i].roads,
+                                                samples[i].speeds);
+          if (!got.ok() || !SameBits(*got, want[i])) ++mismatches[i];
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0)
+          << "thread " << t << ", hop_limit " << hop_limit;
+    }
   }
 }
 

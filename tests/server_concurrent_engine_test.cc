@@ -35,10 +35,8 @@ class ConcurrentEngineTest : public ::testing::Test {
                                                        traffic_options, 5);
     history_ = sim_->GenerateHistory();
     truth_ = sim_->GenerateEvaluationDay();
-    core::CrowdRtseConfig config;
-    config.gsp.num_threads = 2;  // exercise the non-reentrant parallel GSP
     system_ = std::make_unique<core::CrowdRtse>(
-        *core::CrowdRtse::BuildOffline(graph_, history_, config));
+        *core::CrowdRtse::BuildOffline(graph_, history_, {}));
     WorkerRegistryOptions registry_options;
     registry_options.num_workers = 600;
     registry_ = std::make_unique<WorkerRegistry>(graph_, registry_options,
@@ -71,10 +69,7 @@ TEST_F(ConcurrentEngineTest, SharedLedgerNeverOverspendsCampaign) {
   constexpr int kQueriesPerThread = 8;
   constexpr int64_t kCampaignBudget = 300;  // dries up mid-run
   BudgetLedger ledger(kCampaignBudget, /*per_query_cap=*/12);
-  QueryEngine::Options options;
-  options.propagator_pool_size = 3;
-  QueryEngine engine(*system_, *registry_, ledger, costs_, *crowd_sim_,
-                     options);
+  QueryEngine engine(*system_, *registry_, ledger, costs_, *crowd_sim_);
 
   std::atomic<int> served{0};
   std::atomic<int> rejected{0};

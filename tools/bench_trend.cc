@@ -6,7 +6,7 @@
 // only the RATIO metrics the bench artifacts carry (speedups and scaling
 // factors, which divide the machine speed out) plus hard invariants that
 // must hold on any machine:
-//   microkernels  gsp_speedup_reference_to_auto        (band, default 50%)
+//   microkernels  gsp_speedup_reference_to_unrolled    (band, default 50%)
 //                 gamma_refresh_speedup_full_to_incremental (band, 50%)
 //                 every baseline kernel still present in the fresh run
 //   scale         qps_ratio_1_to_max                   (band, default 50%)
@@ -70,7 +70,8 @@ void CheckRatio(const net::json::Value& baseline, const net::json::Value& fresh,
 /// a dropped kernel would silently shrink coverage, not show as a ratio.
 void CheckMicrokernels(const net::json::Value& baseline,
                        const net::json::Value& fresh, double tolerance) {
-  CheckRatio(baseline, fresh, "gsp_speedup_reference_to_auto", tolerance);
+  CheckRatio(baseline, fresh, "gsp_speedup_reference_to_unrolled",
+             tolerance);
   CheckRatio(baseline, fresh, "gamma_refresh_speedup_full_to_incremental",
              tolerance);
 

@@ -541,7 +541,6 @@ int RunShardedStitching() {
   core::CrowdRtseConfig config;
   config.correlation_hop_radius = 2;
   config.gsp.hop_limit = 2;
-  config.gsp.num_threads = 1;
   config.refine_with_ccd = false;
 
   partition::PartitionerOptions part_options;
