@@ -10,9 +10,10 @@
 //     flat-weight Dijkstra behind Gamma_R, timed for trend tracking.
 //
 // Every timed kernel lands in the JSON artifact as {kernel, ns_per_op,
-// roads}; the artifact also records the two headline speedups (GSP
-// reference -> unrolled, Gamma_R full -> incremental) which --strict
-// (default) gates at >= 3x.
+// roads}, ns_per_op being the median of --reps separately timed calls; the
+// artifact also records the two headline speedups (GSP reference ->
+// unrolled, Gamma_R full -> incremental) which --strict (default) gates
+// at >= 3x.
 //
 // Flags: --roads=N --reps=R --sweeps=S --hop_radius=C
 //        --json_out=PATH --quick --no-strict
@@ -114,12 +115,21 @@ struct KernelResult {
 
 double g_sink = 0.0;  // defeats dead-code elimination of benched results
 
+/// Median over `reps` separately timed calls, so one slow rep on a shared
+/// host does not move the result.
 template <typename Fn>
 double MeasureNsPerOp(int reps, Fn&& fn) {
   fn();  // warm up caches and the thread-local GSP arena
-  util::Timer timer;
-  for (int i = 0; i < reps; ++i) fn();
-  return timer.ElapsedSeconds() * 1e9 / std::max(1, reps);
+  std::vector<double> samples(static_cast<size_t>(std::max(1, reps)));
+  for (double& ns : samples) {
+    util::Timer timer;
+    fn();
+    ns = timer.ElapsedSeconds() * 1e9;
+  }
+  const auto mid = samples.begin() + samples.size() / 2;
+  std::nth_element(samples.begin(), mid, samples.end());
+  if (samples.size() % 2 == 1) return *mid;
+  return (*mid + *std::max_element(samples.begin(), mid)) / 2.0;
 }
 
 const char* KernelName(gsp::GspKernel kernel) {

@@ -3,8 +3,6 @@
 #include <chrono>
 #include <string>
 
-#include "util/trace.h"
-
 #if defined(__linux__) || defined(__APPLE__)
 #include <time.h>
 #define CROWDRTSE_HAS_THREAD_CPUTIME 1
@@ -14,7 +12,7 @@ namespace crowdrtse::obs {
 namespace {
 
 thread_local StageProfiler* t_profiler = nullptr;
-thread_local int64_t t_profile_query = 0;
+thread_local int64_t t_profile_trace = 0;
 
 int64_t WallNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -26,8 +24,12 @@ int64_t WallNanos() {
 
 const char* StageName(Stage stage) {
   switch (stage) {
+    case Stage::kCoveredRoads:
+      return "registry.covered_roads";
     case Stage::kOcsSelect:
       return "ocs.select";
+    case Stage::kCrowdLockWait:
+      return "crowd.lock_wait";
     case Stage::kCrowdDispatch:
       return "crowd.dispatch";
     case Stage::kGammaCompute:
@@ -50,57 +52,54 @@ int64_t ThreadCpuNanos() {
 #endif
 }
 
-StageProfiler::StageProfiler(util::metrics::MetricsRegistry* registry,
-                             Options options)
-    : options_(options) {
+StageProfiler::StageProfiler(util::metrics::MetricsRegistry* registry) {
   for (int i = 0; i < kNumStages; ++i) {
     const std::string label =
         std::string("{stage=\"") + StageName(static_cast<Stage>(i)) + "\"}";
     wall_[i] = &registry->GetHistogram(
         "crowdrtse_stage_wall_ms" + label,
-        "Wall time per serve-pipeline stage (sampled; exemplar = query id)");
+        "Wall time per serve-pipeline stage (exemplar = trace id)");
     cpu_[i] = &registry->GetHistogram(
         "crowdrtse_stage_cpu_ms" + label,
-        "Thread-CPU time per serve-pipeline stage (sampled)");
+        "Thread-CPU time per serve-pipeline stage");
   }
 }
 
-bool StageProfiler::ShouldProfile(int64_t query_id) const {
-  return util::trace::ShouldSample(options_.sample_rate,
-                                   static_cast<uint64_t>(query_id));
-}
-
-void StageProfiler::RecordStage(Stage stage, int64_t query_id, double wall_ms,
+void StageProfiler::RecordStage(Stage stage, int64_t trace_id, double wall_ms,
                                 double cpu_ms) {
   const int i = static_cast<int>(stage);
-  wall_[i]->RecordWithExemplar(wall_ms, query_id);
+  wall_[i]->RecordWithExemplar(wall_ms, trace_id);
   cpu_[i]->Record(cpu_ms);
+}
+
+std::array<util::metrics::LatencySnapshot, kNumStages>
+StageProfiler::WallSnapshots() const {
+  std::array<util::metrics::LatencySnapshot, kNumStages> snapshots;
+  for (int i = 0; i < kNumStages; ++i) {
+    snapshots[static_cast<size_t>(i)] = wall_[i]->Snapshot();
+  }
+  return snapshots;
 }
 
 StageProfiler* ActiveProfiler() { return t_profiler; }
 
-int64_t ActiveProfileQueryId() { return t_profile_query; }
+int64_t ActiveProfileTraceId() { return t_profile_trace; }
 
-ScopedProfile::ScopedProfile(StageProfiler* profiler, int64_t query_id)
-    : previous_profiler_(t_profiler), previous_query_(t_profile_query) {
-  if (profiler != nullptr && profiler->ShouldProfile(query_id)) {
-    t_profiler = profiler;
-    t_profile_query = query_id;
-  } else {
-    t_profiler = nullptr;
-    t_profile_query = 0;
-  }
+ScopedProfile::ScopedProfile(StageProfiler* profiler, int64_t trace_id)
+    : previous_profiler_(t_profiler), previous_trace_(t_profile_trace) {
+  t_profiler = profiler;
+  t_profile_trace = trace_id;
 }
 
 ScopedProfile::~ScopedProfile() {
   t_profiler = previous_profiler_;
-  t_profile_query = previous_query_;
+  t_profile_trace = previous_trace_;
 }
 
 StageTimer::StageTimer(Stage stage)
     : profiler_(t_profiler), stage_(stage) {
   if (profiler_ == nullptr) return;
-  query_id_ = t_profile_query;
+  trace_id_ = t_profile_trace;
   wall_start_ns_ = WallNanos();
   cpu_start_ns_ = ThreadCpuNanos();
 }
@@ -109,7 +108,7 @@ void StageTimer::Stop() {
   if (profiler_ == nullptr) return;
   const double wall_ms = (WallNanos() - wall_start_ns_) * 1e-6;
   const double cpu_ms = (ThreadCpuNanos() - cpu_start_ns_) * 1e-6;
-  profiler_->RecordStage(stage_, query_id_, wall_ms, cpu_ms);
+  profiler_->RecordStage(stage_, trace_id_, wall_ms, cpu_ms);
   profiler_ = nullptr;
 }
 

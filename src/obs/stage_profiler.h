@@ -1,21 +1,25 @@
 #ifndef CROWDRTSE_OBS_STAGE_PROFILER_H_
 #define CROWDRTSE_OBS_STAGE_PROFILER_H_
 
+#include <array>
 #include <cstdint>
 
 #include "util/metrics.h"
 
 namespace crowdrtse::obs {
 
-/// The serve-pipeline stages the profiler attributes time to.
+/// The serve-pipeline stages the profiler attributes time to, in pipeline
+/// order.
 enum class Stage : int {
-  kOcsSelect = 0,     // OCS marginal-gain road selection
-  kCrowdDispatch = 1, // crowd probe dispatch (incl. fault-tolerant retries)
-  kGammaCompute = 2,  // Gamma_R correlation-table compute on a cache miss
-  kGspSweep = 3,      // GSP coordinate-sweep propagation
-  kMerge = 4,         // cross-shard response merge in the router
+  kCoveredRoads = 0,   // worker-registry scan for the OCS candidate roads
+  kOcsSelect = 1,      // OCS marginal-gain road selection
+  kCrowdLockWait = 2,  // wait for the engine's crowd-simulator mutex
+  kCrowdDispatch = 3,  // crowd probe dispatch (incl. fault-tolerant retries)
+  kGammaCompute = 4,   // Gamma_R correlation-table compute on a cache miss
+  kGspSweep = 5,       // GSP coordinate-sweep propagation
+  kMerge = 6,          // cross-shard response merge in the router
 };
-inline constexpr int kNumStages = 5;
+inline constexpr int kNumStages = 7;
 
 /// Stable dotted stage name ("ocs.select"), used as the `stage` label on
 /// the exported histograms.
@@ -26,61 +30,53 @@ const char* StageName(Stage stage);
 /// wall attribution still works).
 int64_t ThreadCpuNanos();
 
-/// Sampling per-stage wall/CPU profiler. One instance per engine, writing
-/// labeled histograms into that engine's MetricsRegistry:
+/// Per-stage wall/CPU profiler, the serve path's only aggregate timer. One
+/// instance per engine, writing labeled histograms into that engine's
+/// MetricsRegistry:
 ///
 ///   crowdrtse_stage_wall_ms{stage="ocs.select"}  (+ _cpu_ms)
 ///
-/// Each recorded sample carries the query id as the bucket's exemplar, so
-/// a p99 bucket in /metrics links straight to a trace id that landed there
-/// (`/trace/<id>` shows the stitched span tree).
-///
-/// Sampling is deterministic per query id (same hash as trace sampling),
-/// so profiled-vs-unprofiled runs stay bit-identical in results and a
-/// given query profiles identically on every replica.
+/// Every query records every stage it runs. A sample whose query
+/// was traced carries the trace's id as its bucket exemplar, so every
+/// exemplar in /metrics opens at `/trace/<id>`.
 class StageProfiler {
  public:
-  struct Options {
-    /// Fraction of queries profiled (deterministic by query id). 0
-    /// disables; 1 profiles everything.
-    double sample_rate = 0.0;
-  };
-
-  StageProfiler(util::metrics::MetricsRegistry* registry, Options options);
+  explicit StageProfiler(util::metrics::MetricsRegistry* registry);
 
   StageProfiler(const StageProfiler&) = delete;
   StageProfiler& operator=(const StageProfiler&) = delete;
 
-  /// Deterministic sampling decision for `query_id`.
-  bool ShouldProfile(int64_t query_id) const;
-
-  /// Records one stage sample (called by StageTimer). `query_id` becomes
-  /// the exemplar on the wall histogram's bucket.
-  void RecordStage(Stage stage, int64_t query_id, double wall_ms,
+  /// Records one stage sample (called by StageTimer). A nonzero
+  /// `trace_id` becomes the exemplar on the wall histogram's bucket.
+  void RecordStage(Stage stage, int64_t trace_id, double wall_ms,
                    double cpu_ms);
 
+  /// Wall-time distribution of every stage, indexed by Stage.
+  std::array<util::metrics::LatencySnapshot, kNumStages> WallSnapshots()
+      const;
+
  private:
-  Options options_;
   util::metrics::LatencyHistogram* wall_[kNumStages];
   util::metrics::LatencyHistogram* cpu_[kNumStages];
 };
 
 /// The profiler the calling thread's current query records into (set by
-/// ScopedProfile); nullptr when the query is unprofiled.
+/// ScopedProfile); nullptr outside any serve.
 StageProfiler* ActiveProfiler();
-/// Query id of the active profile scope, 0 when none.
-int64_t ActiveProfileQueryId();
+/// Trace id of the active profile scope: the id of the query's collected
+/// trace, 0 when the query is untraced or no scope is active.
+int64_t ActiveProfileTraceId();
 
 /// Installs a per-query profiling scope on the calling thread — the stage
 /// timers below find it through TLS, so deep pipeline layers (gamma cache,
-/// GSP) need no profiler plumbing. No-op (and cheap) when `profiler` is
-/// null or `query_id` doesn't sample. The sharded router installs its
-/// scope around sub-serves so all stages of a cross-shard query aggregate
-/// under the router's query id; QueryEngine only installs its own when no
+/// GSP) need no profiler plumbing. `trace_id` is the id of the query's
+/// collected trace, 0 when it has none. The sharded router installs its
+/// scope around sub-serves so all stages of a cross-shard query record
+/// into the router's profiler; QueryEngine only installs its own when no
 /// ambient scope exists.
 class ScopedProfile {
  public:
-  ScopedProfile(StageProfiler* profiler, int64_t query_id);
+  ScopedProfile(StageProfiler* profiler, int64_t trace_id);
   ~ScopedProfile();
 
   ScopedProfile(const ScopedProfile&) = delete;
@@ -88,12 +84,11 @@ class ScopedProfile {
 
  private:
   StageProfiler* previous_profiler_;
-  int64_t previous_query_;
+  int64_t previous_trace_;
 };
 
-/// RAII wall+CPU stage timer. When no ScopedProfile is active on the
-/// thread, construction is two thread-local reads and destruction one
-/// branch — cheap enough for every serve. Stop() records early.
+/// RAII wall+CPU stage timer. Records into the thread's active profiler;
+/// a no-op when no ScopedProfile is active. Stop() records early.
 class StageTimer {
  public:
   explicit StageTimer(Stage stage);
@@ -106,7 +101,7 @@ class StageTimer {
 
  private:
   StageProfiler* profiler_;
-  int64_t query_id_ = 0;
+  int64_t trace_id_ = 0;
   Stage stage_;
   int64_t wall_start_ns_ = 0;
   int64_t cpu_start_ns_ = 0;

@@ -10,10 +10,11 @@ std::string EngineStats::Report() const {
       ", rejected " + std::to_string(queries_rejected) + ", failed " +
       std::to_string(queries_failed) + ", paid " +
       std::to_string(total_paid) + " units\n";
-  out += "  ocs:    " + ocs_latency.ToString() + "\n";
-  out += "  crowd:  " + crowd_latency.ToString() + "\n";
-  out += "  gsp:    " + gsp_latency.ToString() + "\n";
   out += "  serve:  " + serve_latency.ToString() + "\n";
+  for (int i = 0; i < obs::kNumStages; ++i) {
+    out += std::string("  ") + obs::StageName(static_cast<obs::Stage>(i)) +
+           ": " + stage_latency[static_cast<size_t>(i)].ToString() + "\n";
+  }
   out += "  dispatch: retries " + std::to_string(crowd_retries) +
          ", reassigned " + std::to_string(crowd_reassignments) +
          ", deadline misses " + std::to_string(crowd_deadline_misses) +
@@ -69,10 +70,14 @@ std::string EngineStats::ReportJson() const {
          std::to_string(reports_duplicate);
   out += ",\"crowdrtse_reports_outlier_total\":" +
          std::to_string(reports_outlier);
-  out += ",\"crowdrtse_ocs_latency_ms\":" + ocs_latency.ToJson();
-  out += ",\"crowdrtse_crowd_latency_ms\":" + crowd_latency.ToJson();
-  out += ",\"crowdrtse_gsp_latency_ms\":" + gsp_latency.ToJson();
   out += ",\"crowdrtse_serve_latency_ms\":" + serve_latency.ToJson();
+  out += ",\"crowdrtse_stage_wall_ms\":{";
+  for (int i = 0; i < obs::kNumStages; ++i) {
+    if (i > 0) out += ",";
+    out += std::string("\"") + obs::StageName(static_cast<obs::Stage>(i)) +
+           "\":" + stage_latency[static_cast<size_t>(i)].ToJson();
+  }
+  out += "}";
   out += ",\"crowdrtse_gamma_cache_hits\":" +
          std::to_string(gamma_cache.hits);
   out += ",\"crowdrtse_gamma_cache_misses\":" +

@@ -1,12 +1,14 @@
 #ifndef CROWDRTSE_SERVER_ENGINE_H_
 #define CROWDRTSE_SERVER_ENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/crowd_rtse.h"
 #include "crowd/dispatch_controller.h"
+#include "obs/stage_profiler.h"
 #include "rtf/correlation_cache.h"
 #include "traffic/history_store.h"
 #include "util/metrics.h"
@@ -28,7 +30,7 @@ struct QueryRequest {
 };
 
 /// What the engine returns: the estimate for every queried road plus full
-/// provenance (which roads were probed, what was paid, phase latencies).
+/// provenance (which roads were probed, what was paid).
 struct QueryResponse {
   int64_t query_id = 0;
   std::vector<double> queried_speeds;     // aligned with request.queried
@@ -52,9 +54,6 @@ struct QueryResponse {
   std::vector<double> queried_variances;
   int granted_budget = 0;
   int paid = 0;
-  double ocs_millis = 0.0;
-  double crowd_millis = 0.0;
-  double gsp_millis = 0.0;
   /// Fault-tolerant dispatch only: the crowd round's dispatch-to-resolution
   /// span on the engine clock (ms); bounded by
   /// DispatchOptions::MaxRoundSpanMs() whatever the fault plan injects.
@@ -88,13 +87,10 @@ struct EngineStats {
   int64_t queries_rejected = 0;
   int64_t queries_failed = 0;
   int64_t total_paid = 0;
-  double total_ocs_millis = 0.0;
-  double total_crowd_millis = 0.0;
-  double total_gsp_millis = 0.0;
-  /// Per-phase latency distributions over all queries that ran the phase.
-  util::metrics::LatencySnapshot ocs_latency;
-  util::metrics::LatencySnapshot crowd_latency;
-  util::metrics::LatencySnapshot gsp_latency;
+  /// Wall time per serve-pipeline stage, indexed by obs::Stage: the
+  /// engine's crowdrtse_stage_wall_ms{stage="..."} histograms. A sharded
+  /// engine records one sample per sub-serve per stage.
+  std::array<util::metrics::LatencySnapshot, obs::kNumStages> stage_latency;
   /// End-to-end Serve latency of successfully served queries.
   util::metrics::LatencySnapshot serve_latency;
   /// Degradation-ladder accounting (fault-tolerant dispatch only). Every

@@ -31,8 +31,7 @@ QueryEngine::QueryEngine(core::CrowdRtse& system, WorkerRegistry& registry,
       propagator_(system.model(), system.config().gsp),
       traces_(util::trace::TraceCollector::Options{
           options.trace_ring_size, options.trace_slow_log_size}),
-      profiler_(&metrics_,
-                obs::StageProfiler::Options{options.profile_sample_rate}) {
+      profiler_(&metrics_) {
   RegisterInstruments();
 }
 
@@ -82,12 +81,6 @@ void QueryEngine::RegisterInstruments() {
   reports_outlier_ = &metrics_.GetCounter(
       "crowdrtse_reports_outlier_total",
       "reports rejected by the plausibility window or MAD filter");
-  ocs_latency_ = &metrics_.GetHistogram("crowdrtse_ocs_latency_ms",
-                                         "OCS road-selection phase latency");
-  crowd_latency_ = &metrics_.GetHistogram(
-      "crowdrtse_crowd_latency_ms", "crowdsourcing round wall latency");
-  gsp_latency_ = &metrics_.GetHistogram("crowdrtse_gsp_latency_ms",
-                                         "GSP propagation phase latency");
   serve_latency_ = &metrics_.GetHistogram(
       "crowdrtse_serve_latency_ms", "end-to-end Serve latency (served only)");
 
@@ -228,10 +221,13 @@ util::Result<QueryResponse> QueryEngine::Serve(
   std::optional<util::trace::ScopedTrace> scoped;
   if (trace) scoped.emplace(trace.get());
   // Stage profiling mirrors the trace adoption: an ambient scope (the
-  // router's) wins, otherwise this engine's own profiler samples by local
-  // query id (no-op scope when unsampled or the rate is 0).
+  // router's) wins, otherwise every stage records into this engine's own
+  // profiler, with the collected trace's id (if any) as exemplar.
   std::optional<obs::ScopedProfile> profile;
-  if (obs::ActiveProfiler() == nullptr) profile.emplace(&profiler_, query_id);
+  if (obs::ActiveProfiler() == nullptr) {
+    const util::trace::Trace* active = util::trace::ActiveTrace();
+    profile.emplace(&profiler_, active != nullptr ? active->query_id() : 0);
+  }
   util::trace::Span serve_span("serve");
   serve_span.Annotate("slot", static_cast<int64_t>(request.slot));
   serve_span.Annotate("queried", static_cast<int64_t>(queried.size()));
@@ -255,10 +251,11 @@ util::Result<QueryResponse> QueryEngine::Serve(
 
   // Step 1 — OCS over the roads workers currently cover (optionally only
   // those whose crowd can fill the full answer quota).
-  util::Timer timer;
+  obs::StageTimer covered_stage(obs::Stage::kCoveredRoads);
   const std::vector<graph::RoadId> worker_roads =
       options_.require_full_staffing ? registry_.StaffableRoads(costs_)
                                      : registry_.CoveredRoads();
+  covered_stage.Stop();
   util::Result<ocs::OcsSolution> selection = [&] {
     util::trace::Span ocs_span("ocs");
     ocs_span.Annotate("worker_roads",
@@ -279,8 +276,6 @@ util::Result<QueryResponse> QueryEngine::Serve(
     serve_span.Annotate("outcome", "failed_ocs");
     return FailQuery(query_id, budget, 0, selection.status());
   }
-  response.ocs_millis = timer.ElapsedMillis();
-  ocs_latency_->Record(response.ocs_millis);
 
   // Step 2 — crowdsourcing round: assign concrete workers to the selected
   // roads, then collect. Legacy path: every assigned worker reports once,
@@ -289,10 +284,11 @@ util::Result<QueryResponse> QueryEngine::Serve(
   // report rejection; roads whose probes all fail come back degraded, not
   // as errors. The simulator's RNG is stateful, so either way this phase
   // runs one query at a time.
-  timer.Reset();
   crowd::DispatchStats dispatch_stats;
   util::Result<crowd::CrowdRound> round = [&] {
+    obs::StageTimer lock_wait(obs::Stage::kCrowdLockWait);
     std::lock_guard<std::mutex> lock(crowd_mutex_);
+    lock_wait.Stop();
     util::trace::Span crowd_span("crowd");
     obs::StageTimer stage(obs::Stage::kCrowdDispatch);
     util::Result<crowd::AssignmentPlan> plan = [&] {
@@ -336,12 +332,9 @@ util::Result<QueryResponse> QueryEngine::Serve(
     serve_span.Annotate("outcome", "failed_crowd");
     return FailQuery(query_id, budget, 0, round.status());
   }
-  response.crowd_millis = timer.ElapsedMillis();
-  crowd_latency_->Record(response.crowd_millis);
   response.paid = round->total_paid;
 
   // Step 3 — GSP over the roads that actually produced answers.
-  timer.Reset();
   std::vector<double> probed;
   probed.reserve(round->probes.size());
   for (const crowd::ProbeResult& p : round->probes) {
@@ -366,8 +359,6 @@ util::Result<QueryResponse> QueryEngine::Serve(
     serve_span.Annotate("outcome", "failed_gsp");
     return FailQuery(query_id, budget, response.paid, estimate.status());
   }
-  response.gsp_millis = timer.ElapsedMillis();
-  gsp_latency_->Record(response.gsp_millis);
   response.gsp_sweeps = estimate->sweeps;
 
   response.queried_speeds.reserve(request.queried.size());
@@ -537,14 +528,9 @@ EngineStats QueryEngine::stats() const {
   snapshot.reports_late = reports_late_->value();
   snapshot.reports_duplicate = reports_duplicate_->value();
   snapshot.reports_outlier = reports_outlier_->value();
-  snapshot.ocs_latency = ocs_latency_->Snapshot();
-  snapshot.crowd_latency = crowd_latency_->Snapshot();
-  snapshot.gsp_latency = gsp_latency_->Snapshot();
+  snapshot.stage_latency = profiler_.WallSnapshots();
   snapshot.serve_latency = serve_latency_->Snapshot();
   snapshot.gamma_cache = system_.CorrelationCacheStats();
-  snapshot.total_ocs_millis = snapshot.ocs_latency.sum_ms;
-  snapshot.total_crowd_millis = snapshot.crowd_latency.sum_ms;
-  snapshot.total_gsp_millis = snapshot.gsp_latency.sum_ms;
   return snapshot;
 }
 

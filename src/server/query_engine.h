@@ -87,11 +87,6 @@ class QueryEngine : public Engine {
     /// slow-query log (top-N by serve latency).
     int trace_ring_size = 256;
     int trace_slow_log_size = 16;
-    /// Fraction of queries whose per-stage wall/CPU time feeds the
-    /// crowdrtse_stage_{wall,cpu}_ms{stage="..."} histograms (exemplar =
-    /// query id). Deterministic per query id, like trace_sample_rate;
-    /// 0 (default) disables the profiler entirely.
-    double profile_sample_rate = 0.0;
   };
 
   /// All dependencies are borrowed and must outlive the engine.
@@ -139,8 +134,8 @@ class QueryEngine : public Engine {
   EngineStats stats() const override;
 
   /// The engine's named instruments — counters, gauges (gamma-cache bytes,
-  /// outstanding reservations), and the per-phase
-  /// latency histograms. Render with RenderPrometheus() / RenderJson().
+  /// outstanding reservations), the serve latency and the per-stage
+  /// histograms. Render with RenderPrometheus() / RenderJson().
   const util::metrics::MetricsRegistry& metrics() const override {
     return metrics_;
   }
@@ -201,8 +196,8 @@ class QueryEngine : public Engine {
   /// anything up by name.
   util::metrics::MetricsRegistry metrics_;
   util::trace::TraceCollector traces_;
-  /// Sampling per-stage wall/CPU attribution into metrics_ (ambient scope:
-  /// when a sharded router already installed its own, Serve adopts it).
+  /// Per-stage wall/CPU attribution into metrics_ (ambient scope: when a
+  /// sharded router already installed its own, Serve adopts it).
   obs::StageProfiler profiler_;
   util::metrics::Counter* queries_served_ = nullptr;
   util::metrics::Counter* queries_rejected_ = nullptr;
@@ -221,9 +216,6 @@ class QueryEngine : public Engine {
   util::metrics::Counter* reports_late_ = nullptr;
   util::metrics::Counter* reports_duplicate_ = nullptr;
   util::metrics::Counter* reports_outlier_ = nullptr;
-  util::metrics::LatencyHistogram* ocs_latency_ = nullptr;
-  util::metrics::LatencyHistogram* crowd_latency_ = nullptr;
-  util::metrics::LatencyHistogram* gsp_latency_ = nullptr;
   util::metrics::LatencyHistogram* serve_latency_ = nullptr;
 };
 

@@ -74,8 +74,7 @@ ShardedEngine::ShardedEngine(partition::Partition partition,
       options_(options),
       traces_(util::trace::TraceCollector::Options{
           options.engine.trace_ring_size, options.engine.trace_slow_log_size}),
-      profiler_(&metrics_, obs::StageProfiler::Options{
-                               options.engine.profile_sample_rate}) {
+      profiler_(&metrics_) {
   queries_served_ = &metrics_.GetCounter(
       "crowdrtse_queries_served_total", "queries answered successfully");
   queries_rejected_ = &metrics_.GetCounter(
@@ -107,12 +106,6 @@ ShardedEngine::ShardedEngine(partition::Partition partition,
   queries_cross_shard_ = &metrics_.GetCounter(
       "crowdrtse_queries_cross_shard_total",
       "queries whose roads spanned more than one owner shard");
-  ocs_latency_ = &metrics_.GetHistogram("crowdrtse_ocs_latency_ms",
-                                        "OCS road-selection phase latency");
-  crowd_latency_ = &metrics_.GetHistogram(
-      "crowdrtse_crowd_latency_ms", "crowdsourcing round wall latency");
-  gsp_latency_ = &metrics_.GetHistogram("crowdrtse_gsp_latency_ms",
-                                        "GSP propagation phase latency");
   serve_latency_ = &metrics_.GetHistogram(
       "crowdrtse_serve_latency_ms", "end-to-end Serve latency (served only)");
   metrics_.RegisterCallbackGauge(
@@ -215,11 +208,10 @@ util::Status ShardedEngine::BuildShard(
       util::Rng(options.crowd_seed + static_cast<uint64_t>(shard_index)));
   // The router owns trace sampling and stage profiling for sharded
   // serving: sub-engines adopt the ambient scopes it installs around each
-  // sub-serve. Their own samplers are zeroed so a cross-shard query cannot
-  // also collect K disconnected per-shard traces under local query ids.
+  // sub-serve. Their own trace sampler is zeroed so a cross-shard query
+  // cannot also collect K disconnected per-shard traces under local ids.
   QueryEngine::Options sub_options = options.engine;
   sub_options.trace_sample_rate = 0.0;
-  sub_options.profile_sample_rate = 0.0;
   shard.engine = std::make_unique<QueryEngine>(
       *shard.system, *shard.registry, *shard.ledger, shard.costs,
       *shard.crowd_sim, sub_options);
@@ -389,9 +381,6 @@ void ShardedEngine::RecordServed(const QueryResponse& response,
                                  double serve_millis) {
   queries_served_->Increment();
   paid_units_->Increment(response.paid);
-  ocs_latency_->Record(response.ocs_millis);
-  crowd_latency_->Record(response.crowd_millis);
-  gsp_latency_->Record(response.gsp_millis);
   serve_latency_->Record(serve_millis);
   roads_degraded_->Increment(
       static_cast<int64_t>(response.degraded_roads.size()));
@@ -467,9 +456,10 @@ util::Result<QueryResponse> ShardedEngine::Serve(
   serve_span.Annotate("queried",
                       static_cast<int64_t>(request.queried.size()));
   const int64_t root_span = util::trace::ActiveSpanId();
-  // Stage profiling aggregates under the router's query id across every
-  // shard (no-op scope when unsampled).
-  obs::ScopedProfile profile(&profiler_, query_id);
+  // Every shard's stages record into the router's profiler, with the
+  // stitched trace's id (if sampled) as exemplar.
+  const int64_t trace_id = trace ? query_id : 0;
+  obs::ScopedProfile profile(&profiler_, trace_id);
 
   const int granted = ledger_.Reserve(query_id);
   if (granted <= 0) {
@@ -588,7 +578,7 @@ util::Result<QueryResponse> ShardedEngine::Serve(
     }
   }
 
-  const auto run_group = [this, &trace, root_span, query_id](GroupRun& run) {
+  const auto run_group = [this, &trace, root_span, trace_id](GroupRun& run) {
     // A fan-out pool thread carries no ambient trace/profile scope:
     // install the router's, parenting this thread's spans under the root
     // "serve" span so the per-shard subtree stitches into one tree. The
@@ -599,7 +589,7 @@ util::Result<QueryResponse> ShardedEngine::Serve(
     }
     std::optional<obs::ScopedProfile> profile_scope;
     if (obs::ActiveProfiler() == nullptr) {
-      profile_scope.emplace(&profiler_, query_id);
+      profile_scope.emplace(&profiler_, trace_id);
     }
     util::trace::Span shard_span("shard");
     shard_span.Annotate("shard", static_cast<int64_t>(run.shard));
@@ -687,9 +677,6 @@ util::Result<QueryResponse> ShardedEngine::Serve(
                                 ? run.response.degraded_reasons[d]
                                 : crowd::DegradeReason::kLoadShed);
     }
-    response.ocs_millis += run.response.ocs_millis;
-    response.crowd_millis += run.response.crowd_millis;
-    response.gsp_millis += run.response.gsp_millis;
     response.dispatch_span_ms =
         std::max(response.dispatch_span_ms, run.response.dispatch_span_ms);
     response.gsp_sweeps =
@@ -841,13 +828,8 @@ EngineStats ShardedEngine::stats() const {
   snapshot.degraded_outlier = degraded_outlier_->value();
   snapshot.degraded_unstaffed = degraded_unstaffed_->value();
   snapshot.degraded_load_shed = degraded_load_shed_->value();
-  snapshot.ocs_latency = ocs_latency_->Snapshot();
-  snapshot.crowd_latency = crowd_latency_->Snapshot();
-  snapshot.gsp_latency = gsp_latency_->Snapshot();
+  snapshot.stage_latency = profiler_.WallSnapshots();
   snapshot.serve_latency = serve_latency_->Snapshot();
-  snapshot.total_ocs_millis = snapshot.ocs_latency.sum_ms;
-  snapshot.total_crowd_millis = snapshot.crowd_latency.sum_ms;
-  snapshot.total_gsp_millis = snapshot.gsp_latency.sum_ms;
   snapshot.shards.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     const EngineStats sub = shards_[s]->engine->stats();

@@ -33,11 +33,11 @@ namespace crowdrtse::server {
 /// Knobs of the sharded engine.
 struct ShardedEngineOptions {
   /// Behaviour of every per-shard QueryEngine (fault-tolerant dispatch,
-  /// dispatch deadlines, ...). trace_sample_rate and profile_sample_rate
-  /// govern the ROUTER's sampling: the router creates one trace/profile
-  /// scope per sampled query and the sub-engines adopt it (their own
-  /// samplers are zeroed at build), so a cross-shard query yields a single
-  /// stitched span tree instead of K disconnected per-shard traces.
+  /// dispatch deadlines, ...). trace_sample_rate governs the ROUTER's
+  /// sampling: the router creates one trace scope per sampled query and the
+  /// sub-engines adopt it (their own sampler is zeroed at build), so a
+  /// cross-shard query yields a single stitched span tree instead of K
+  /// disconnected per-shard traces. Stage profiling works the same way.
   QueryEngine::Options engine;
   /// Per-shard crowd simulator behaviour. For sharded-vs-unsharded
   /// bit-identity tests use noiseless worker pools (bias 1, noise 0,
@@ -269,9 +269,6 @@ class ShardedEngine : public Engine {
   util::metrics::Counter* degraded_unstaffed_ = nullptr;
   util::metrics::Counter* degraded_load_shed_ = nullptr;
   util::metrics::Counter* queries_cross_shard_ = nullptr;
-  util::metrics::LatencyHistogram* ocs_latency_ = nullptr;
-  util::metrics::LatencyHistogram* crowd_latency_ = nullptr;
-  util::metrics::LatencyHistogram* gsp_latency_ = nullptr;
   util::metrics::LatencyHistogram* serve_latency_ = nullptr;
 };
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "obs/stage_profiler.h"
 #include "server/budget_ledger.h"
 #include "server/query_engine.h"
 #include "server/worker_registry.h"
@@ -116,7 +117,9 @@ TEST_F(ConcurrentEngineTest, SharedLedgerNeverOverspendsCampaign) {
   EXPECT_EQ(paid_observed.load(), stats.total_paid);
   // The metrics layer saw every served query end to end.
   EXPECT_EQ(stats.serve_latency.count, stats.queries_served);
-  EXPECT_GE(stats.ocs_latency.count, stats.queries_served);
+  EXPECT_GE(
+      stats.stage_latency[static_cast<size_t>(obs::Stage::kOcsSelect)].count,
+      stats.queries_served);
   EXPECT_LE(stats.serve_latency.p50_ms, stats.serve_latency.p99_ms);
 }
 
@@ -157,9 +160,9 @@ TEST_F(ConcurrentEngineTest, ReportIncludesPerPhasePercentiles) {
   }
   const std::string report = engine.stats().Report();
   EXPECT_NE(report.find("served 4"), std::string::npos);
-  EXPECT_NE(report.find("ocs:"), std::string::npos);
-  EXPECT_NE(report.find("crowd:"), std::string::npos);
-  EXPECT_NE(report.find("gsp:"), std::string::npos);
+  EXPECT_NE(report.find("ocs.select:"), std::string::npos);
+  EXPECT_NE(report.find("crowd.dispatch:"), std::string::npos);
+  EXPECT_NE(report.find("gsp.sweep:"), std::string::npos);
   EXPECT_NE(report.find("p50="), std::string::npos);
   EXPECT_NE(report.find("p95="), std::string::npos);
   EXPECT_NE(report.find("p99="), std::string::npos);

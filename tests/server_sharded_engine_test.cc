@@ -11,6 +11,7 @@
 
 #include "graph/generators.h"
 #include "obs/flight_recorder.h"
+#include "obs/stage_profiler.h"
 #include "partition/partitioner.h"
 #include "rtf/correlation_table.h"
 #include "server/query_engine.h"
@@ -435,7 +436,6 @@ TEST_F(ShardedEngineTest, CrossShardQueryYieldsOneStitchedTrace) {
   ShardedEngineOptions options;
   options.crowd = crowd_options_;
   options.engine.trace_sample_rate = 1.0;
-  options.engine.profile_sample_rate = 1.0;
   const partition::Partition partition = MakePartition(4);
   const auto engine =
       ShardedEngine::Create(graph_, partition, history_, config_, costs_,
@@ -500,6 +500,19 @@ TEST_F(ShardedEngineTest, CrossShardQueryYieldsOneStitchedTrace) {
   }
   EXPECT_EQ(shard_tags.size(), 4u) << "shard children must cover every owner";
   EXPECT_TRUE(have_merge);
+
+  // The router's profiler holds one sample per sub-serve per stage (four
+  // OCS selections, not one per-query sum) and one merge, each carrying
+  // the stitched trace's id as exemplar.
+  const EngineStats stats = (*engine)->stats();
+  EXPECT_EQ(
+      stats.stage_latency[static_cast<size_t>(obs::Stage::kOcsSelect)].count,
+      4);
+  EXPECT_EQ(
+      stats.stage_latency[static_cast<size_t>(obs::Stage::kMerge)].count, 1);
+  EXPECT_NE((*engine)->metrics().RenderPrometheus().find(
+                "trace_id=\"" + std::to_string(response->query_id) + "\""),
+            std::string::npos);
 
   // The rollup fans back through the merge into the response.
   EXPECT_EQ(response->trace_summary.query_id, response->query_id);

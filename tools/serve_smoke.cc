@@ -6,7 +6,8 @@
 //   * pipelined binary frames on the same port answer frame-for-frame;
 //   * /healthz, /metrics, /metrics.json and /stats agree with the number
 //     of queries actually served (the Prometheus counter, the JSON
-//     rendering, and the front-end report are cross-checked);
+//     rendering, and the front-end report are cross-checked), and /metrics
+//     carries stage-timer samples with tracing off;
 //   * the admin channel round-trips a knob (get / set / get) and "drain"
 //     flips the front-end into explicit 503 "draining" rejections while
 //     the observability GETs keep serving;
@@ -20,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -236,6 +238,14 @@ int Run(const std::string& prom_path, const std::string& json_path) {
   Check(prometheus.find("# TYPE crowdrtse_serve_latency_ms histogram") !=
             std::string::npos,
         "/metrics lacks the serve latency histogram");
+  // The stage timer is always on: with tracing off, the served queries
+  // still recorded their OCS selection.
+  const std::string ocs_count =
+      "crowdrtse_stage_wall_ms_count{stage=\"ocs.select\"} ";
+  const size_t ocs_at = prometheus.find(ocs_count);
+  Check(ocs_at != std::string::npos &&
+            std::atoll(prometheus.c_str() + ocs_at + ocs_count.size()) > 0,
+        "/metrics has no ocs.select stage samples");
 
   std::string metrics_json;
   Check(Get(http->get(), "/metrics.json", &status, &metrics_json).ok() &&

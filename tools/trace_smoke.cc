@@ -8,8 +8,8 @@
 //     phase spans (ocs, crowd.dispatch with crowd.attempt children under
 //     the fault storm, gsp.propagate);
 //   * the Prometheus text parses line by line (exemplar suffixes
-//     tolerated), histogram bucket series are cumulative, and the counters
-//     match EngineStats;
+//     tolerated), histogram bucket series (labeled ones too) are
+//     cumulative, and the counters and per-stage counts match EngineStats;
 //   * a cross-shard query against a K=4 sharded engine over the 607-road
 //     world produces ONE stitched trace at /trace/<id>: every parent span
 //     resolves (no orphans), a single root "serve", per-shard "shard"
@@ -34,6 +34,7 @@
 #include "net/json.h"
 #include "net/socket.h"
 #include "obs/flight_recorder.h"
+#include "obs/stage_profiler.h"
 #include "partition/partitioner.h"
 #include "server/budget_ledger.h"
 #include "server/frontend.h"
@@ -389,21 +390,30 @@ void ValidatePrometheus(const std::string& text,
           "prometheus value does not parse on line " +
               std::to_string(line_number) + ": " + line);
     samples[key] = value;
-    const size_t brace = key.find("_bucket{le=\"");
-    if (brace != std::string::npos) {
-      bucket_series[key.substr(0, brace)].push_back(value);
+    // Bucket series are keyed by their _count sample: the name plus every
+    // label but `le` (`x_bucket{stage="a",le="1"}` -> `x_count{stage="a"}`).
+    const size_t bucket = key.find("_bucket{");
+    const size_t le = key.find("le=\"");
+    if (bucket != std::string::npos && le != std::string::npos) {
+      const size_t labels_at = bucket + std::string("_bucket{").size();
+      const std::string labels = key.substr(labels_at, le - labels_at);
+      bucket_series[key.substr(0, bucket) + "_count" +
+                    (labels.empty()
+                         ? ""
+                         : "{" + labels.substr(0, labels.size() - 1) + "}")]
+          .push_back(value);
     }
   }
 
-  for (const auto& [name, series] : bucket_series) {
+  for (const auto& [count_key, series] : bucket_series) {
     for (size_t i = 1; i < series.size(); ++i) {
       Check(series[i] >= series[i - 1],
-            name + " bucket series is not cumulative");
+            count_key + " bucket series is not cumulative");
     }
-    const auto count = samples.find(name + "_count");
+    const auto count = samples.find(count_key);
     Check(count != samples.end() && !series.empty() &&
               series.back() == count->second,
-          name + " +Inf bucket disagrees with _count");
+          count_key + " +Inf bucket disagrees with the count");
   }
 
   const auto expect = [&](const std::string& name, int64_t want) {
@@ -421,6 +431,11 @@ void ValidatePrometheus(const std::string& text,
   expect("crowdrtse_roads_degraded_total", stats.roads_degraded);
   expect("crowdrtse_dispatch_retries_total", stats.crowd_retries);
   expect("crowdrtse_serve_latency_ms_count", stats.queries_served);
+  for (int i = 0; i < obs::kNumStages; ++i) {
+    expect(std::string("crowdrtse_stage_wall_ms_count{stage=\"") +
+               obs::StageName(static_cast<obs::Stage>(i)) + "\"}",
+           stats.stage_latency[static_cast<size_t>(i)].count);
+  }
   expect("crowdrtse_traces_collected", traces_collected);
   std::printf("prometheus: %zu samples, %zu histogram series, counters OK\n",
               samples.size(), bucket_series.size());
@@ -572,7 +587,6 @@ int RunShardedStitching() {
   options.crowd.min_noise_kmh = options.crowd.max_noise_kmh = 0.0;
   options.crowd.outlier_rate = 0.0;
   options.engine.trace_sample_rate = 1.0;
-  options.engine.profile_sample_rate = 1.0;
   auto engine = server::ShardedEngine::Create(*graph, *partition, history,
                                               config, costs, workers,
                                               ledger, truth, options);
@@ -627,14 +641,14 @@ int RunShardedStitching() {
             std::to_string(status));
   if (status == 200) ValidateStitchedTrace(trace_json, query_id, owners);
 
-  // The profiler fed the stage histograms with exemplars; the exposition
-  // must still parse line by line.
+  // The always-on profiler fed the stage histograms, with the traced
+  // query's id as exemplar; the exposition must still parse line by line.
   const std::string prometheus = (*engine)->metrics().RenderPrometheus();
   Check(prometheus.find("crowdrtse_stage_wall_ms") != std::string::npos,
         "sharded metrics lack the stage profiler histograms");
   Check(prometheus.find("trace_id=\"" + std::to_string(query_id) + "\"") !=
             std::string::npos,
-        "stage histograms carry no exemplar for the profiled query");
+        "stage histograms carry no exemplar for the traced query");
 
   std::string flight;
   Check(HttpGet(http->get(), "/debug/flight", &status, &flight).ok() &&
